@@ -32,7 +32,9 @@ from .errors import ConfigError, PortlabError
 from .hrp import HrpResult, build_hrp_portfolio, dendrogram_dict
 from .market_data import PricePanel, align_panel, load_price_csv, parse_wide_csv, slice_period
 from .portfolio import PortfolioWeights, weights_from_csv
-from .returns_stats import daily_returns
+from .returns_stats import correlation, daily_returns, sample_covariance
+
+logger = logging.getLogger(__name__)
 
 ENV_RISK_FREE = "PORTLAB_RISK_FREE"
 ENV_OUTPUT_DIR = "PORTLAB_OUT"
@@ -75,9 +77,10 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def config_hash(config: ExperimentConfig) -> str:
+    """Hash of what the experiment computes; where its output goes is left out."""
     resolved = config.as_dict()
-    resolved.pop("applied_defaults", None)
-    resolved.pop("warnings", None)
+    for key in ("applied_defaults", "warnings", "output_dir"):
+        resolved.pop(key)
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -99,13 +102,20 @@ def _load_sector_panels(
 def _build_sector_portfolios(
     train_panel: PricePanel, config: ExperimentConfig
 ) -> tuple[HrpResult, PortfolioWeights, list]:
+    """Both portfolios from one training-window covariance and correlation."""
     train_returns = daily_returns(train_panel)
+    cov = sample_covariance(train_returns)
+    corr = correlation(cov)
+    if train_returns.n_obs < len(train_returns.tickers) + 1:
+        logger.warning(
+            "%d observations for %d assets; covariance is rank-deficient",
+            train_returns.n_obs,
+            len(train_returns.tickers),
+        )
     hrp_result = build_hrp_portfolio(
-        train_returns,
-        distance_mode=config.distance_mode,
-        linkage_method=config.linkage_method,
+        cov, corr, built_on=train_returns.dates[-1], linkage_method=config.linkage_method
     )
-    model = fit_pca(train_returns, standardize=config.standardize)
+    model = fit_pca(corr if config.standardize else cov)
     k_max = min_components_for_variance(model, config.variance_threshold)
     eigen_weights, candidates = select_best_eigen(
         train_returns, model, k_max, config.risk_free_rate
@@ -146,6 +156,15 @@ def _write_build_artifacts(
     _atomic_write(sector_dir / "eigen_candidates.csv", _candidate_csv(candidates, tickers))
 
 
+def _load_weights(sector_dir: Path, config: ExperimentConfig) -> dict[str, PortfolioWeights]:
+    return {
+        method: weights_from_csv(
+            (sector_dir / name).read_text(encoding="utf-8"), method, config.train.end
+        )
+        for method, name in (("HRP", "weights_hrp.csv"), ("EIGEN", "weights_eigen.csv"))
+    }
+
+
 def _write_report_artifacts(
     out_dir: Path, report: bt.BacktestReport, fmt: str
 ) -> None:
@@ -167,18 +186,25 @@ def _run_one_sector(
     out_dir: Path,
     fmt: str,
     evaluate: bool,
+    weights_dir: Path | None,
 ) -> SectorResult:
+    """ingest -> build weights (or load them from weights_dir) -> backtest -> write."""
     stage = "ingest"
     try:
         train_panel, test_panel = _load_sector_panels(sector, config)
-        stage = "build"
-        hrp_result, eigen_weights, candidates = _build_sector_portfolios(train_panel, config)
-        _write_build_artifacts(out_dir, sector.name, hrp_result, eigen_weights, candidates)
+        if weights_dir is None:
+            stage = "build"
+            hrp_result, eigen_weights, candidates = _build_sector_portfolios(train_panel, config)
+            _write_build_artifacts(out_dir, sector.name, hrp_result, eigen_weights, candidates)
+            weights = {"HRP": hrp_result.weights, "EIGEN": eigen_weights}
+        else:
+            stage = "load_weights"
+            weights = _load_weights(weights_dir / sector.name, config)
         if not evaluate:
             return SectorResult(sector=sector.name)
         stage = "backtest"
         report = bt.evaluate(
-            {"HRP": hrp_result.weights, "EIGEN": eigen_weights},
+            weights,
             train_panel,
             test_panel,
             risk_free=config.risk_free_rate,
@@ -203,11 +229,14 @@ def run_experiment(
     sector_filter: str | None = None,
     fmt: str = "json",
     evaluate: bool = True,
+    weights_dir: Path | None = None,
 ) -> tuple[int, list[SectorResult]]:
     """Process every sector (optionally filtered), write artifacts, summarize.
 
-    Returns the exit status and per-sector results. Sectors run concurrently
-    up to ``jobs`` workers; outputs do not depend on scheduling.
+    Each sector builds its weights, or reads the ones exported under
+    ``weights_dir/<sector>/`` when given. Returns the exit status and
+    per-sector results. Sectors run concurrently up to ``jobs`` workers;
+    outputs do not depend on scheduling.
     """
     sectors = list(config.sectors)
     if sector_filter is not None:
@@ -216,13 +245,14 @@ def run_experiment(
             raise ConfigError([f"--sector {sector_filter!r} matches no configured sector"])
     out_dir = Path(config.output_dir)
 
+    def run_one(sector: SectorConfig) -> SectorResult:
+        return _run_one_sector(sector, config, out_dir, fmt, evaluate, weights_dir)
+
     if jobs > 1 and len(sectors) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda s: _run_one_sector(s, config, out_dir, fmt, evaluate), sectors)
-            )
+            results = list(pool.map(run_one, sectors))
     else:
-        results = [_run_one_sector(s, config, out_dir, fmt, evaluate) for s in sectors]
+        results = [run_one(s) for s in sectors]
 
     reports = [r.report for r in results if r.report is not None]
     if evaluate and reports:
@@ -259,7 +289,9 @@ def _emit_failures(results: list[SectorResult]) -> None:
         print(json.dumps(failures, indent=2, sort_keys=True), file=sys.stderr)
 
 
-def _cmd_run(args: argparse.Namespace, evaluate: bool = True) -> int:
+def _cmd_run(
+    args: argparse.Namespace, evaluate: bool = True, weights_dir: Path | None = None
+) -> int:
     config = _resolved_config(args)
     status, results = run_experiment(
         config,
@@ -267,6 +299,7 @@ def _cmd_run(args: argparse.Namespace, evaluate: bool = True) -> int:
         sector_filter=args.sector,
         fmt=args.format,
         evaluate=evaluate,
+        weights_dir=weights_dir,
     )
     for result in results:
         if result.report is not None:
@@ -282,58 +315,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
-    config = _resolved_config(args)
-    weights_dir = Path(args.weights)
-    out_dir = Path(config.output_dir)
-    sectors = list(config.sectors)
-    if args.sector is not None:
-        sectors = [s for s in sectors if s.name == args.sector]
-        if not sectors:
-            raise ConfigError([f"--sector {args.sector!r} matches no configured sector"])
-
-    results: list[SectorResult] = []
-    for sector in sectors:
-        stage = "load_weights"
-        try:
-            weights_by_method = {}
-            for method, name in (("HRP", "weights_hrp.csv"), ("EIGEN", "weights_eigen.csv")):
-                path = weights_dir / sector.name / name
-                weights_by_method[method] = weights_from_csv(
-                    path.read_text(encoding="utf-8"), method, config.train.end
-                )
-            stage = "ingest"
-            train_panel, test_panel = _load_sector_panels(sector, config)
-            stage = "backtest"
-            report = bt.evaluate(
-                weights_by_method,
-                train_panel,
-                test_panel,
-                risk_free=config.risk_free_rate,
-                sector=sector.name,
-                extra_metadata={"config_hash": config_hash(config), "alignment": config.alignment},
-            )
-            stage = "write"
-            _write_report_artifacts(out_dir, report, args.format)
-            results.append(SectorResult(sector=sector.name, report=report))
-        except (PortlabError, OSError, ValueError) as cause:
-            results.append(
-                SectorResult(
-                    sector=sector.name,
-                    failure=SectorFailure(sector.name, stage, sector.data, str(cause)),
-                )
-            )
-
-    reports = [r.report for r in results if r.report is not None]
-    if reports:
-        summary = bt.summarize(reports)
-        if args.format == "csv":
-            _atomic_write(out_dir / "summary.csv", bt.summary_to_csv(summary))
-        else:
-            _atomic_write(out_dir / "summary.json", bt.summary_to_json(summary))
-        for report in reports:
-            print(bt.format_report_table(report))
-    _emit_failures(results)
-    return EXIT_PARTIAL if any(r.failure for r in results) else EXIT_OK
+    return _cmd_run(args, weights_dir=Path(args.weights))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
-from .hrp import DistanceMode, LinkageMethod
+from .hrp import LinkageMethod
 from .market_data import AlignmentPolicy, PeriodSpec
 
 DEFAULTS: dict[str, Any] = {
@@ -59,7 +59,6 @@ class ExperimentConfig:
     test: PeriodSpec
     risk_free_rate: float
     alignment: AlignmentPolicy
-    distance_mode: DistanceMode
     linkage_method: LinkageMethod
     standardize: bool
     variance_threshold: float
@@ -94,7 +93,7 @@ class ExperimentConfig:
             "test": {"start": self.test.start.isoformat(), "end": self.test.end.isoformat()},
             "risk_free_rate": self.risk_free_rate,
             "alignment": self.alignment,
-            "hrp": {"distance": self.distance_mode, "linkage": self.linkage_method},
+            "hrp": {"distance": "sqrt_half", "linkage": self.linkage_method},
             "eigen": {
                 "standardize": self.standardize,
                 "variance_threshold": self.variance_threshold,
@@ -219,8 +218,13 @@ def validate_config(raw: dict[str, Any]) -> ExperimentConfig:
         if key not in ("distance", "linkage"):
             warnings.append(f"hrp: unknown key {key!r} ignored")
     distance = pick("hrp.distance", hrp_section)
-    if distance not in ("sqrt_half", "euclidean_returns"):
-        problems.append("hrp.distance: must be 'sqrt_half' or 'euclidean_returns'")
+    if distance == "euclidean_returns":
+        warnings.append(
+            "hrp.distance: 'euclidean_returns' is deprecated; it orders and weights assets "
+            "exactly like 'sqrt_half', which is used instead"
+        )
+    elif distance != "sqrt_half":
+        problems.append("hrp.distance: must be 'sqrt_half'")
     linkage = pick("hrp.linkage", hrp_section)
     if linkage not in ("ward", "single", "complete", "average"):
         problems.append("hrp.linkage: must be one of ward, single, complete, average")
@@ -259,7 +263,6 @@ def validate_config(raw: dict[str, Any]) -> ExperimentConfig:
         test=test,
         risk_free_rate=float(risk_free),
         alignment=alignment,
-        distance_mode=distance,
         linkage_method=linkage,
         standardize=standardize,
         variance_threshold=float(threshold),

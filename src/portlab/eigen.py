@@ -1,4 +1,4 @@
-"""Eigen portfolios: PCA over training returns, one candidate per component.
+"""Eigen portfolios: PCA over training statistics, one candidate per component.
 
 Principal components are extracted from the correlation matrix by default
 (covariance PCA sits behind a flag), each retained component's loadings are
@@ -14,19 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateLoadingSum,
-    InsufficientObservations,
-    NoViableCandidate,
-    ZeroVarianceAsset,
-    ZeroVolatility,
-)
+from .errors import DegenerateLoadingSum, NoViableCandidate, ZeroVarianceAsset, ZeroVolatility
 from .portfolio import PortfolioWeights
 from .returns_stats import (
     TRADING_DAYS_PER_YEAR,
+    CorrelationMatrix,
+    CovarianceMatrix,
     ReturnsMatrix,
-    correlation,
-    sample_covariance,
     sharpe_ratio,
 )
 
@@ -84,24 +78,13 @@ class EigenCandidate(NamedTuple):
     in_sample_sharpe: float
 
 
-def fit_pca(returns: ReturnsMatrix, standardize: bool = True) -> PCAModel:
-    """Eigendecompose the sample correlation (default) or covariance matrix.
+def fit_pca(matrix: CorrelationMatrix | CovarianceMatrix) -> PCAModel:
+    """Eigendecompose the sample correlation or covariance matrix it is handed.
 
-    Standardized fitting makes the model scale-free, so a single
+    A correlation matrix gives a standardized, scale-free model, so a single
     high-variance asset cannot dominate the loadings.
     """
-    if returns.n_obs < 2:
-        raise InsufficientObservations(f"{returns.n_obs} return row(s), need >= 2 for PCA")
-    if returns.n_obs < len(returns.tickers) + 1:
-        logger.warning(
-            "PCA on %d observations for %d assets; covariance is rank-deficient",
-            returns.n_obs,
-            len(returns.tickers),
-        )
-    cov = sample_covariance(returns)
-    matrix = correlation(cov).values if standardize else cov.values
-
-    eigenvalues, vectors = np.linalg.eigh(matrix)
+    eigenvalues, vectors = np.linalg.eigh(matrix.values)
     descending = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[descending]
     vectors = vectors[:, descending]
@@ -117,13 +100,13 @@ def fit_pca(returns: ReturnsMatrix, standardize: bool = True) -> PCAModel:
 
     total = float(eigenvalues.sum())
     if total <= 0.0:
-        raise ZeroVarianceAsset(list(returns.tickers), "all assets have zero variance")
+        raise ZeroVarianceAsset(list(matrix.tickers), "all assets have zero variance")
     return PCAModel(
-        tickers=returns.tickers,
+        tickers=matrix.tickers,
         eigenvalues=eigenvalues,
         loadings=vectors,
         explained_ratio=eigenvalues / total,
-        standardized=standardize,
+        standardized=isinstance(matrix, CorrelationMatrix),
     )
 
 

@@ -23,16 +23,8 @@ import numpy as np
 
 from .errors import MalformedTree, ZeroVarianceAsset
 from .portfolio import PortfolioWeights
-from .returns_stats import (
-    VARIANCE_FLOOR,
-    CorrelationMatrix,
-    CovarianceMatrix,
-    ReturnsMatrix,
-    correlation,
-    sample_covariance,
-)
+from .returns_stats import VARIANCE_FLOOR, CorrelationMatrix, CovarianceMatrix
 
-DistanceMode = Literal["sqrt_half", "euclidean_returns"]
 LinkageMethod = Literal["ward", "single", "complete", "average"]
 
 UNDATED = date(1970, 1, 1)  # built_on placeholder for matrix-level calls
@@ -120,37 +112,9 @@ class SeriationOrder:
         return tuple(labels[index] for index in self.order)
 
 
-def correlation_distance(
-    corr: CorrelationMatrix,
-    mode: DistanceMode = "sqrt_half",
-    returns: ReturnsMatrix | None = None,
-) -> DistanceMatrix:
-    """Leaf-level distances between assets.
-
-    ``sqrt_half`` maps correlation into [0, 1] via d = sqrt((1 - rho) / 2).
-    ``euclidean_returns`` measures the Euclidean distance between z-scored
-    return columns instead and therefore needs the returns; it equals the
-    sqrt_half metric up to the constant factor 2 * sqrt(T - 1).
-    """
-    if mode == "sqrt_half":
-        values = np.sqrt(np.clip((1.0 - corr.values) / 2.0, 0.0, 1.0))
-    elif mode == "euclidean_returns":
-        if returns is None:
-            raise ValueError("euclidean_returns mode requires the returns matrix")
-        if returns.tickers != corr.tickers:
-            raise ValueError("returns tickers do not match correlation tickers")
-        x = returns.values
-        variances = x.var(axis=0, ddof=1)
-        dead = [t for t, v in zip(returns.tickers, variances) if v <= VARIANCE_FLOOR]
-        if dead:
-            raise ZeroVarianceAsset(dead)
-        z = (x - x.mean(axis=0)) / np.sqrt(variances)
-        gram = z.T @ z
-        norms = np.diag(gram)
-        squared = norms[:, None] + norms[None, :] - 2.0 * gram
-        values = np.sqrt(np.maximum(squared, 0.0))
-    else:
-        raise ValueError(f"unknown distance mode {mode!r}")
+def correlation_distance(corr: CorrelationMatrix) -> DistanceMatrix:
+    """Leaf-level distances between assets: d = sqrt((1 - rho) / 2), in [0, 1]."""
+    values = np.sqrt(np.clip((1.0 - corr.values) / 2.0, 0.0, 1.0))
     values = (values + values.T) / 2.0
     np.fill_diagonal(values, 0.0)
     return DistanceMatrix(tickers=corr.tickers, values=values)
@@ -332,26 +296,25 @@ class HrpResult(NamedTuple):
 
 
 def build_hrp_portfolio(
-    returns: ReturnsMatrix,
-    distance_mode: DistanceMode = "sqrt_half",
+    cov: CovarianceMatrix,
+    corr: CorrelationMatrix,
+    built_on: date = UNDATED,
     linkage_method: LinkageMethod = "ward",
 ) -> HrpResult:
-    """Run the full pipeline on training returns, keeping the intermediates.
+    """Run the full pipeline on training statistics, keeping the intermediates.
 
-    Covariance and correlation feed the distance matrix, the linkage tree
-    seriates the assets, and recursive bisection allocates the weights. The
-    tree and seriation come back alongside the weights for export.
+    The correlation feeds the distance matrix, the linkage tree seriates the
+    assets, and recursive bisection allocates the weights over the
+    covariance. The tree and seriation come back alongside the weights for
+    export.
     """
-    cov = sample_covariance(returns)
-    corr = correlation(cov)
-    dist = correlation_distance(corr, mode=distance_mode, returns=returns)
-    tree = ward_linkage(dist, method=linkage_method)
+    tree =ward_linkage(correlation_distance(corr), method=linkage_method)
     order = quasi_diagonalize(tree)
     weights = recursive_bisection(
         cov,
         order,
-        built_on=returns.dates[-1],
-        extra_metadata={"distance": distance_mode, "linkage": linkage_method},
+        built_on=built_on,
+        extra_metadata={"distance": "sqrt_half", "linkage": linkage_method},
     )
     return HrpResult(weights=weights, tree=tree, order=order)
 

@@ -92,7 +92,7 @@ def test_singularity_robustness(monkeypatch):
         returns = returns_from(values)
         cov = sample_covariance(returns)
         assert np.linalg.matrix_rank(cov.values) < 9  # genuinely singular
-        result = build_hrp_portfolio(returns)
+        result = build_hrp_portfolio(cov, correlation(cov))
         assert abs(result.weights.weights.sum() - 1.0) <= 1e-9
         assert (result.weights.weights > 0.0).all()
     print("\nsingularity robustness: 8/8 duplicated columns produced valid weights")
@@ -139,7 +139,7 @@ def test_pca_oracle():
         factor = rng.normal(size=(4, 4))
         target = factor @ factor.T
         returns = returns_from(base @ np.linalg.cholesky(target + 1e-6 * np.eye(4)).T)
-        model = fit_pca(returns, standardize=False)
+        model = fit_pca(sample_covariance(returns))
         realized = sample_covariance(returns).values
 
         roots = charpoly_eigenvalues(realized)
@@ -223,7 +223,7 @@ def test_end_to_end_determinism_and_scale(tmp_path):
     rng = np.random.default_rng(8)
     big = returns_from(rng.normal(0.0, 0.012, size=(300, 500)))
     started = time.perf_counter()
-    result = build_hrp_portfolio(big)
+    result = build_hrp_portfolio(sample_covariance(big), correlation(sample_covariance(big)))
     big_elapsed = time.perf_counter() - started
     assert big_elapsed < 5.0, f"500-asset HRP build took {big_elapsed:.2f}s"
     assert abs(result.weights.weights.sum() - 1.0) <= 1e-9
@@ -243,8 +243,12 @@ def test_no_look_ahead():
 
     def build_weights(p):
         train_returns = daily_returns(slice_period(p, train_spec))
-        hrp = build_hrp_portfolio(train_returns).weights
-        model = fit_pca(train_returns)
+        hrp = build_hrp_portfolio(
+            sample_covariance(train_returns),
+            correlation(sample_covariance(train_returns)),
+            built_on=train_returns.dates[-1],
+        ).weights
+        model = fit_pca(correlation(sample_covariance(train_returns)))
         eigen, _ = select_best_eigen(
             train_returns, model, min_components_for_variance(model, 0.8)
         )

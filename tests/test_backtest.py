@@ -236,6 +236,7 @@ class TestNoLookAhead:
     def test_perturbing_test_prices_keeps_weights(self, rng):
         from portlab.eigen import fit_pca, min_components_for_variance, select_best_eigen
         from portlab.hrp import build_hrp_portfolio
+        from portlab.returns_stats import correlation, sample_covariance
 
         total = rng.normal(0.0003, 0.01, size=(120, 5))
         panel = panel_from_returns(total)
@@ -245,8 +246,10 @@ class TestNoLookAhead:
 
         def build(p):
             r = daily_returns(slice_period(p, train_spec))
-            hrp = build_hrp_portfolio(r).weights
-            model = fit_pca(r)
+            cov = sample_covariance(r)
+            corr = correlation(cov)
+            hrp = build_hrp_portfolio(cov, corr, built_on=r.dates[-1]).weights
+            model = fit_pca(corr)
             eig, _ = select_best_eigen(r, model, min_components_for_variance(model, 0.8))
             return hrp, eig
 

@@ -3,6 +3,7 @@ from datetime import date
 
 import pytest
 
+import portlab.cli
 from portlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main, run_experiment
 from portlab.config import load_config, load_sector_constituents, validate_config
 from portlab.errors import ConfigError
@@ -20,7 +21,7 @@ class TestValidateConfig:
         config = validate_config(MINIMAL)
         assert config.risk_free_rate == 0.0
         assert config.alignment == "intersection"
-        assert config.distance_mode == "sqrt_half"
+        assert config.as_dict()["hrp"]["distance"] == "sqrt_half"
         assert config.linkage_method == "ward"
         assert config.standardize is True
         assert config.variance_threshold == 0.8
@@ -76,6 +77,28 @@ class TestValidateConfig:
         )
         with pytest.raises(ConfigError):
             validate_config(raw)
+
+    def test_euclidean_distance_is_deprecated_alias(self, tmp_path):
+        write_fixture(tmp_path, n_sectors=1, tickers_per_sector=6, seed=11)
+        raw = json.loads((tmp_path / "config.json").read_text())
+        outputs = {}
+        for distance in ("sqrt_half", "euclidean_returns"):
+            raw["hrp"]["distance"] = distance
+            raw["output_dir"] = str(tmp_path / distance)
+            config = validate_config(raw)
+            deprecated = [w for w in config.warnings if "deprecated" in w]
+            assert len(deprecated) == (distance == "euclidean_returns")
+            assert run_experiment(config, evaluate=False)[0] == EXIT_OK
+            outputs[distance] = [
+                (tmp_path / distance / "sector1" / name).read_bytes()
+                for name in ("weights_hrp.csv", "seriation.csv")
+            ]
+        assert outputs["euclidean_returns"] == outputs["sqrt_half"]
+
+        raw["hrp"]["distance"] = "manhattan"
+        with pytest.raises(ConfigError) as caught:
+            validate_config(raw)
+        assert any(p.startswith("hrp.distance") for p in caught.value.problems)
 
 
 class TestSectorConstituents:
@@ -181,6 +204,19 @@ class TestRunExperiment:
         assert report.startswith("sector,method,period,")
         assert (tmp_path / "out" / "summary.csv").exists()
 
+    def test_statistics_computed_once_per_sector(self, fixture_config, monkeypatch):
+        calls = []
+        original = portlab.cli.sample_covariance
+
+        def counting(returns):
+            calls.append(returns)
+            return original(returns)
+
+        monkeypatch.setattr(portlab.cli, "sample_covariance", counting)
+        status, _ = run_experiment(load_config(fixture_config))
+        assert status == EXIT_OK
+        assert len(calls) == 2
+
     def test_alignment_policies_with_quote_gaps(self, fixture_config, tmp_path):
         # punch holes into one ticker's history; forward_fill keeps the union
         # of dates while intersection drops the gapped ones
@@ -249,6 +285,40 @@ class TestMainEntry:
         )
         assert (out / "sector1" / "report.json").exists()
         assert (out / "summary.json").exists()
+
+    def test_run_equals_build_then_backtest(self, fixture_config, tmp_path):
+        common = ["--config", str(fixture_config), "--out"]
+        staged = str(tmp_path / "staged")
+        assert main(["run", *common, str(tmp_path / "run")]) == EXIT_OK
+        assert main(["build", *common, staged]) == EXIT_OK
+        assert main(["backtest", *common, staged, "--weights", staged]) == EXIT_OK
+        for sector in ("sector1", "sector2"):
+            direct = json.loads((tmp_path / "run" / sector / "report.json").read_text())
+            via_weights = json.loads((tmp_path / "staged" / sector / "report.json").read_text())
+            assert via_weights["methods"] == direct["methods"]
+
+    def test_backtest_missing_weights_isolated(self, fixture_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["build", "--config", str(fixture_config)]) == EXIT_OK
+        (out / "sector1" / "weights_eigen.csv").unlink()
+        argv = ["backtest", "--config", str(fixture_config), "--weights", str(out)]
+        assert main(argv) == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["sector"], e["stage"]) for e in errors] == [("sector1", "load_weights")]
+        assert json.loads(capsys.readouterr().err) == errors
+        assert (out / "sector2" / "report.json").exists()
+        assert not (out / "sector1" / "report.json").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["winners"]) == {"sector2"}
+
+    def test_config_hash_independent_of_out(self, fixture_config, tmp_path):
+        hashes = set()
+        for name in ("first", "second"):
+            argv = ["run", "--config", str(fixture_config), "--out", str(tmp_path / name)]
+            assert main(argv) == EXIT_OK
+            report = json.loads((tmp_path / name / "sector1" / "report.json").read_text())
+            hashes.add(report["metadata"]["config_hash"])
+        assert len(hashes) == 1
 
     def test_out_flag_overrides_directory(self, fixture_config, tmp_path):
         elsewhere = tmp_path / "elsewhere"

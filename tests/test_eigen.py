@@ -18,7 +18,7 @@ from portlab.errors import (
     InsufficientObservations,
     NoViableCandidate,
 )
-from portlab.returns_stats import ReturnsMatrix, sample_covariance
+from portlab.returns_stats import ReturnsMatrix, correlation, sample_covariance
 
 
 def returns_matrix(values, tickers=None):
@@ -29,6 +29,10 @@ def returns_matrix(values, tickers=None):
         date.fromordinal(date(2019, 1, 1).toordinal() + t) for t in range(values.shape[0])
     )
     return ReturnsMatrix(tickers=tuple(tickers), dates=dates, values=values)
+
+
+def corr_of(returns):
+    return correlation(sample_covariance(returns))
 
 
 def exact_correlation_pair(rho, scale=0.01):
@@ -59,27 +63,27 @@ def model_from(eigenvalues, loadings, tickers=None):
 
 class TestFitPca:
     def test_two_asset_analytic_eigenpair(self):
-        model = fit_pca(exact_correlation_pair(0.9), standardize=True)
+        model = fit_pca(corr_of(exact_correlation_pair(0.9)))
         assert model.eigenvalues == pytest.approx([1.9, 0.1], abs=1e-12)
         assert model.explained_ratio == pytest.approx([0.95, 0.05], abs=1e-12)
         assert model.loadings[:, 0] == pytest.approx([0.70711, 0.70711], abs=1e-5)
 
     def test_identity_correlation_isotropic(self):
-        model = fit_pca(orthogonal_triple(), standardize=True)
+        model = fit_pca(corr_of(orthogonal_triple()))
         assert model.explained_ratio == pytest.approx([1 / 3] * 3, abs=1e-12)
 
     def test_duplicated_column_zero_smallest_eigenvalue(self, rng):
         base = rng.normal(0, 0.01, size=(40, 3))
-        model = fit_pca(returns_matrix(np.hstack([base, base[:, :1]])), standardize=True)
+        model = fit_pca(corr_of(returns_matrix(np.hstack([base, base[:, :1]]))))
         assert model.eigenvalues[-1] == pytest.approx(0.0, abs=1e-10)
         assert model.eigenvalues.min() >= 0.0
 
     def test_reconstruction_and_orthonormality(self, rng):
         returns = returns_matrix(rng.normal(0, 0.02, size=(80, 5)))
-        model = fit_pca(returns, standardize=False)
-        cov = sample_covariance(returns).values
+        cov = sample_covariance(returns)
+        model = fit_pca(cov)
         rebuilt = model.loadings @ np.diag(model.eigenvalues) @ model.loadings.T
-        assert np.linalg.norm(rebuilt - cov) < 1e-8
+        assert np.linalg.norm(rebuilt - cov.values) < 1e-8
         gram = model.loadings.T @ model.loadings
         assert np.abs(gram - np.eye(5)).max() < 1e-8
 
@@ -87,8 +91,8 @@ class TestFitPca:
         values = rng.normal(0, 0.015, size=(60, 4))
         scaled = values.copy()
         scaled[:, 2] *= 9.0
-        base = fit_pca(returns_matrix(values), standardize=True)
-        other = fit_pca(returns_matrix(scaled), standardize=True)
+        base = fit_pca(corr_of(returns_matrix(values)))
+        other = fit_pca(corr_of(returns_matrix(scaled)))
         assert np.abs(base.eigenvalues - other.eigenvalues).max() < 1e-9
         assert np.abs(base.loadings - other.loadings).max() < 1e-9
 
@@ -96,25 +100,26 @@ class TestFitPca:
         values = rng.normal(0, 0.015, size=(60, 4))
         scaled = values.copy()
         scaled[:, 2] *= 9.0
-        base = fit_pca(returns_matrix(values), standardize=False)
-        other = fit_pca(returns_matrix(scaled), standardize=False)
+        base = fit_pca(sample_covariance(returns_matrix(values)))
+        other = fit_pca(sample_covariance(returns_matrix(scaled)))
         assert np.abs(base.eigenvalues - other.eigenvalues).max() > 1e-6
 
     def test_sign_convention_largest_entry_positive(self, rng):
-        model = fit_pca(returns_matrix(rng.normal(0, 0.01, size=(50, 6))))
+        model = fit_pca(corr_of(returns_matrix(rng.normal(0, 0.01, size=(50, 6)))))
         for k in range(6):
             column = model.loadings[:, k]
             assert column[np.argmax(np.abs(column))] > 0
 
     def test_eigenvalues_match_characteristic_polynomial(self, rng):
         returns = returns_matrix(rng.normal(0, 0.02, size=(30, 4)))
-        model = fit_pca(returns, standardize=False)
-        roots = charpoly_eigenvalues(sample_covariance(returns).values)
+        cov = sample_covariance(returns)
+        model = fit_pca(cov)
+        roots = charpoly_eigenvalues(cov.values)
         assert model.eigenvalues == pytest.approx(roots, abs=1e-8)
 
     def test_insufficient_observations(self):
         with pytest.raises(InsufficientObservations):
-            fit_pca(returns_matrix([[0.01, 0.02]]))
+            fit_pca(corr_of(returns_matrix([[0.01, 0.02]])))
 
 
 class TestMinComponents:
@@ -168,7 +173,7 @@ class TestSelectBestEigen:
         values = rng.normal(0.0005, 0.01, size=(120, 6))
         values[:, 3] += 0.5 * values[:, 2]
         returns = returns_matrix(values)
-        model = fit_pca(returns)
+        model = fit_pca(corr_of(returns))
         weights, candidates = select_best_eigen(returns, model, k_max=4)
         best = max(c.in_sample_sharpe for c in candidates)
         assert weights.metadata["candidate_sharpe"] == best
@@ -183,14 +188,14 @@ class TestSelectBestEigen:
         a = np.array([0.011, -0.009, 0.011, -0.009])
         b = np.array([0.011, -0.009, -0.009, 0.011])
         returns = returns_matrix(np.column_stack([a, b]))
-        model = fit_pca(returns, standardize=True)
+        model = fit_pca(corr_of(returns))
         weights, candidates = select_best_eigen(returns, model, k_max=2)
         assert candidates[0].in_sample_sharpe == candidates[1].in_sample_sharpe
         assert weights.metadata["component_index"] == 1
 
     def test_single_component_selected_regardless(self, rng):
         returns = returns_matrix(rng.normal(-0.001, 0.01, size=(60, 3)))
-        model = fit_pca(returns)
+        model = fit_pca(corr_of(returns))
         weights, candidates = select_best_eigen(returns, model, k_max=1)
         assert len(candidates) == 1
         assert weights.metadata["component_index"] == 1
@@ -198,7 +203,7 @@ class TestSelectBestEigen:
     def test_weights_sum_to_one_and_allow_shorts(self, rng):
         values = rng.normal(0, 0.01, size=(90, 5))
         returns = returns_matrix(values)
-        model = fit_pca(returns)
+        model = fit_pca(corr_of(returns))
         weights, _ = select_best_eigen(returns, model, k_max=5)
         assert abs(weights.weights.sum() - 1.0) <= 1e-9
         assert weights.method == "EIGEN"
@@ -206,13 +211,13 @@ class TestSelectBestEigen:
     def test_all_candidates_degenerate(self):
         base = np.array([0.01, -0.02, 0.015, -0.01, 0.005])
         returns = returns_matrix(np.column_stack([base, -base]))
-        model = fit_pca(returns, standardize=True)
+        model = fit_pca(corr_of(returns))
         with pytest.raises(NoViableCandidate):
             select_best_eigen(returns, model, k_max=1)
 
     def test_k_max_validated(self, rng):
         returns = returns_matrix(rng.normal(0, 0.01, size=(30, 3)))
-        model = fit_pca(returns)
+        model = fit_pca(corr_of(returns))
         with pytest.raises(ValueError):
             select_best_eigen(returns, model, k_max=0)
 

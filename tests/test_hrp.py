@@ -7,7 +7,8 @@ import scipy.cluster.hierarchy as sch
 
 from conftest import two_block_returns
 from oracles import brute_force_ward, closed_form_ivp, ward_centroid_heights
-from portlab.errors import MalformedTree, ZeroVarianceAsset
+from portlab.config import validate_config
+from portlab.errors import ConfigError, MalformedTree, ZeroVarianceAsset
 from portlab.hrp import (
     DistanceMatrix,
     LinkageTree,
@@ -43,6 +44,13 @@ def returns_matrix(values):
     return ReturnsMatrix(tickers=tickers_for(values.shape[1]), dates=dates, values=values)
 
 
+def hrp_of(returns, linkage_method="ward"):
+    cov = sample_covariance(returns)
+    return build_hrp_portfolio(
+        cov, correlation(cov), built_on=returns.dates[-1], linkage_method=linkage_method
+    )
+
+
 def distance_from(values, labels=None):
     values = np.asarray(values, dtype=float)
     return DistanceMatrix(tickers=labels or tickers_for(values.shape[0]), values=values)
@@ -73,21 +81,17 @@ class TestCorrelationDistance:
     def test_half_correlation(self):
         assert correlation_distance(self.corr(0.5)).values[0, 1] == pytest.approx(0.5)
 
-    def test_euclidean_mode_proportional_to_sqrt_half(self, rng):
-        returns = correlated_returns(rng)
-        corr = correlation(sample_covariance(returns))
-        sqrt_half = correlation_distance(corr, "sqrt_half")
-        euclid = correlation_distance(corr, "euclidean_returns", returns=returns)
-        factor = 2.0 * math.sqrt(returns.n_obs - 1)
-        assert euclid.values == pytest.approx(factor * sqrt_half.values, abs=1e-9)
-
-    def test_euclidean_mode_requires_returns(self):
-        with pytest.raises(ValueError):
-            correlation_distance(self.corr(0.5), "euclidean_returns")
-
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            correlation_distance(self.corr(0.5), "chebyshev")
+        # sqrt_half is the only metric; a config naming another one is refused
+        raw = {
+            "sectors": [{"name": "alpha", "data": "ignored", "tickers": ["A", "B"]}],
+            "train": {"start": "2016-01-01", "end": "2020-12-31"},
+            "test": {"start": "2021-01-01", "end": "2021-11-01"},
+            "hrp": {"distance": "chebyshev"},
+        }
+        with pytest.raises(ConfigError) as caught:
+            validate_config(raw)
+        assert any(p.startswith("hrp.distance") for p in caught.value.problems)
 
 
 class TestWardLinkage:
@@ -292,13 +296,13 @@ class TestBuildHrpPortfolio:
     def test_two_perfectly_correlated_assets(self):
         base = np.array([0.01, -0.02, 0.015, -0.005, 0.02, -0.01])
         returns = returns_matrix(np.column_stack([base, 2.0 * base]))
-        result = build_hrp_portfolio(returns)
+        result = hrp_of(returns)
         assert result.weights.as_dict()["T00"] == pytest.approx(0.8, abs=1e-12)
         assert result.weights.as_dict()["T01"] == pytest.approx(0.2, abs=1e-12)
 
     def test_ten_asset_structural_contract(self, rng):
         returns = returns_matrix(rng.normal(0, 0.01, size=(120, 10)))
-        result = build_hrp_portfolio(returns)
+        result = hrp_of(returns)
         assert len(result.tree.rows) == 9
         assert (result.weights.weights > 0).all()
         assert abs(result.weights.weights.sum() - 1.0) <= 1e-9
@@ -308,26 +312,19 @@ class TestBuildHrpPortfolio:
     def test_duplicated_column_singular_covariance(self, rng):
         base = rng.normal(0, 0.01, size=(100, 7))
         doubled = np.hstack([base, base[:, 2:3]])
-        result = build_hrp_portfolio(returns_matrix(doubled))
+        result = hrp_of(returns_matrix(doubled))
         assert (result.weights.weights > 0).all()
         assert abs(result.weights.weights.sum() - 1.0) <= 1e-9
 
     def test_block_structure_seriates_contiguously(self):
         values, block_of_position = two_block_returns(seed=42)
-        result = build_hrp_portfolio(returns_matrix(values))
+        result = hrp_of(returns_matrix(values))
         blocks_in_order = block_of_position[list(result.order.order)]
         assert len(set(blocks_in_order[:5])) == 1
         assert len(set(blocks_in_order[5:])) == 1
 
-    def test_euclidean_distance_mode_same_tree_shape(self, rng):
-        returns = correlated_returns(rng)
-        sqrt_half = build_hrp_portfolio(returns, distance_mode="sqrt_half")
-        euclid = build_hrp_portfolio(returns, distance_mode="euclidean_returns")
-        assert euclid.order.order == sqrt_half.order.order
-        assert euclid.weights.weights == pytest.approx(sqrt_half.weights.weights, abs=1e-12)
-
     def test_metadata_records_configuration(self, rng):
-        result = build_hrp_portfolio(correlated_returns(rng), linkage_method="average")
+        result = hrp_of(correlated_returns(rng), linkage_method="average")
         assert result.weights.metadata["linkage"] == "average"
         assert result.weights.metadata["distance"] == "sqrt_half"
         assert result.weights.metadata["degenerate_splits"] == 0
@@ -344,10 +341,10 @@ class TestPermutationBehavior:
 
     def test_linkage_tree_equivariant_as_ticker_sets(self, rng):
         returns = correlated_returns(rng)
-        base = build_hrp_portfolio(returns)
+        base = hrp_of(returns)
         for _ in range(6):
             positions = rng.permutation(len(returns.tickers))
-            other = build_hrp_portfolio(self.permuted(returns, positions))
+            other = hrp_of(self.permuted(returns, positions))
             for mine, theirs in zip(
                 self.merge_ticker_sets(base.tree, base.weights.tickers),
                 self.merge_ticker_sets(other.tree, other.weights.tickers),
@@ -370,7 +367,7 @@ class TestPermutationBehavior:
         # which legitimately moves a midpoint split; restrict to permutations
         # that keep every bottom-level pair's relative order
         returns = correlated_returns(rng)
-        base = build_hrp_portfolio(returns)
+        base = hrp_of(returns)
         leaf_pairs = [
             (row.left_id, row.right_id)
             for row in base.tree.rows
@@ -384,7 +381,7 @@ class TestPermutationBehavior:
             if any(new_position[a] > new_position[b] for a, b in leaf_pairs):
                 continue
             checked += 1
-            other = build_hrp_portfolio(self.permuted(returns, positions))
+            other = hrp_of(self.permuted(returns, positions))
             other_map = other.weights.as_dict()
             for ticker, weight in base_map.items():
                 assert other_map[ticker] == pytest.approx(weight, abs=1e-12)

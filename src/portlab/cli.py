@@ -215,11 +215,10 @@ def _run_one_sector(
         _write_report_artifacts(out_dir, report, fmt)
         return SectorResult(sector=sector.name, report=report)
     except (PortlabError, OSError, ValueError) as cause:
+        source = str(weights_dir / sector.name) if stage == "load_weights" else sector.data
         return SectorResult(
             sector=sector.name,
-            failure=SectorFailure(
-                sector=sector.name, stage=stage, file=sector.data, cause=str(cause)
-            ),
+            failure=SectorFailure(sector=sector.name, stage=stage, file=source, cause=str(cause)),
         )
 
 
@@ -279,6 +278,8 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
             risk_free = float(os.environ[ENV_RISK_FREE])
         except ValueError as bad:
             raise ConfigError([f"{ENV_RISK_FREE}: {bad}"]) from bad
+    for warning in config.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     output_dir = getattr(args, "out", None) or os.environ.get(ENV_OUTPUT_DIR)
     return config.with_overrides(risk_free_rate=risk_free, output_dir=output_dir)
 
@@ -321,8 +322,6 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _resolved_config(args)
     print(json.dumps(config.as_dict(), indent=2, sort_keys=True))
-    for warning in config.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 

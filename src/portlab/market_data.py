@@ -9,13 +9,16 @@ reconciled.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial, reduce
 from pathlib import Path
-from typing import IO, Iterable, Literal
+from typing import IO, Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -33,32 +36,48 @@ AlignmentPolicy = Literal["intersection", "forward_fill"]
 PeriodLabel = Literal["train", "test"]
 
 
-@dataclass(frozen=True)
+def _as_days(days: Sequence[date]) -> np.ndarray:
+    """``datetime64[D]`` array of ``days``, built from ordinals (far cheaper than from dates)."""
+    ordinals = np.fromiter(map(date.toordinal, days), dtype=np.int64, count=len(days))
+    return (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+
+
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Dated close prices for one ticker, strictly ascending, all positive."""
+    """Dated close prices for one ticker, strictly ascending, all positive.
+
+    ``dates`` is a read-only ``datetime64[D]`` array and ``closes`` a read-only
+    float array of the same length. Equality is identity: compare the arrays.
+    """
 
     ticker: str
-    observations: tuple[tuple[date, float], ...]
+    dates: np.ndarray = field(repr=False)
+    closes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        previous: date | None = None
-        for day, close in self.observations:
-            if previous is not None:
-                if day == previous:
-                    raise DuplicateDate(f"{self.ticker}: duplicate date {day.isoformat()}")
-                if day < previous:
-                    raise ValueError(f"{self.ticker}: dates not ascending at {day.isoformat()}")
-            if not np.isfinite(close) or close <= 0.0:
-                raise NonPositivePrice(f"{self.ticker}: close {close!r} on {day.isoformat()}")
-            previous = day
+        dates = np.asarray(self.dates, dtype="datetime64[D]")
+        closes = np.asarray(self.closes, dtype=float)
+        if dates.ndim != 1 or dates.shape != closes.shape or np.isnat(dates).any():
+            raise ValueError(f"{self.ticker}: {dates.shape} dates (NaT not allowed) for {closes.shape} closes")
+        for name, values in (("dates", dates), ("closes", closes)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        unordered = np.flatnonzero(dates[1:] <= dates[:-1]) + 1
+        if unordered.size:
+            row = unordered[0]
+            day = dates[row].item().isoformat()
+            if dates[row] == dates[row - 1]:
+                raise DuplicateDate(f"{self.ticker}: duplicate date {day}")
+            raise ValueError(f"{self.ticker}: dates not ascending at {day}")
+        invalid = np.flatnonzero(~(np.isfinite(closes) & (closes > 0.0)))
+        if invalid.size:
+            close, day = closes[invalid[0]].item(), dates[invalid[0]].item()
+            raise NonPositivePrice(f"{self.ticker}: close {close!r} on {day.isoformat()}")
 
     @property
-    def dates(self) -> tuple[date, ...]:
-        return tuple(day for day, _ in self.observations)
-
-    @property
-    def closes(self) -> tuple[float, ...]:
-        return tuple(close for _, close in self.observations)
+    def observations(self) -> tuple[tuple[date, float], ...]:
+        """``(date, close)`` pairs in date order."""
+        return tuple(zip(self.dates.tolist(), self.closes.tolist()))
 
     def to_csv(self) -> str:
         """Serialize back to ``Date,Close`` text; floats keep full precision."""
@@ -102,10 +121,7 @@ class PricePanel:
 
     def series(self, ticker: str) -> PriceSeries:
         col = self.tickers.index(ticker)
-        return PriceSeries(
-            ticker=ticker,
-            observations=tuple((day, float(close)) for day, close in zip(self.dates, self.closes[:, col])),
-        )
+        return PriceSeries(ticker=ticker, dates=_as_days(self.dates), closes=self.closes[:, col])
 
 
 @dataclass(frozen=True)
@@ -122,43 +138,72 @@ class PeriodSpec:
         if self.start > self.end:
             raise ValueError(f"{self.label}: start {self.start} after end {self.end}")
 
-    def contains(self, day: date) -> bool:
-        return self.start <= day <= self.end
-
     def overlaps(self, other: "PeriodSpec") -> bool:
         return self.start <= other.end and other.start <= self.end
 
 
-def _as_text_lines(source: IO[bytes] | IO[str] | bytes | str) -> Iterable[str]:
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"))
-    if isinstance(source, str):
-        return io.StringIO(source.removeprefix("﻿"))
-    raw = source.read()
-    if isinstance(raw, bytes):
-        return io.StringIO(raw.decode("utf-8-sig"))
-    return io.StringIO(raw.removeprefix("﻿"))
-
-
-def _parse_iso_date(raw: str, row_number: int) -> date:
+def _parse_close(raw: str) -> float:
+    """The close value, or NaN for a missing quote: empty, non-numeric or non-finite."""
     try:
-        return date.fromisoformat(raw.strip())
+        value = float(raw)
     except ValueError:
-        raise MalformedCsv(f"row {row_number}: bad date {raw!r} (want YYYY-MM-DD)") from None
+        return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
-def _parse_close(raw: str | None) -> float | None:
-    """Return the close value, or None when the cell is a missing quote."""
-    if raw is None:
-        return None
-    text = raw.strip()
-    if not text or text.lower() in ("nan", "null", "none", "na", "n/a"):
-        return None
+def _read_table(
+    source: IO[bytes] | IO[str] | bytes | str,
+    label: str,
+    pick_columns: Callable[[list[str]], tuple[int, list[str], list[int]]],
+) -> list[PriceSeries]:
+    """The row reader behind both parsers: one series per close column.
+
+    ``pick_columns`` maps the stripped header to the date column, the series
+    names and their close columns. A date may appear on one row only.
+    """
+    raw = source if isinstance(source, (bytes, str)) else source.read()
+    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
+    reader = csv.reader(io.StringIO(text))
     try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if np.isfinite(value) else None
+        header = [name.strip() for name in next(reader)]
+    except StopIteration:
+        raise MalformedCsv(f"{label}: empty file") from None
+    date_col, names, close_cols = pick_columns(header)
+
+    days: list[date] = []
+    row_numbers: list[int] = []
+    cells: list[float] = []
+    for row_number, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            raise MalformedCsv(f"{label}: row {row_number} has {len(row)} fields, header has {len(header)}")
+        try:
+            days.append(date.fromisoformat(row[date_col].strip()))
+        except ValueError:
+            raise MalformedCsv(f"row {row_number}: bad date {row[date_col]!r} (want YYYY-MM-DD)") from None
+        row_numbers.append(row_number)
+        cells.extend([_parse_close(row[col]) for col in close_cols])
+
+    closes = np.array(cells, dtype=float).reshape(len(days), len(close_cols))
+    nonpositive = np.argwhere(closes <= 0.0)
+    if nonpositive.size:
+        row, col = nonpositive[0]
+        close, day = closes[row, col].item(), days[row].isoformat()
+        raise NonPositivePrice(f"{names[col]}: close {close} on {day} (row {row_numbers[row]})")
+    dates = _as_days(days)
+    order = np.argsort(dates, kind="stable")
+    dates, closes = dates[order], closes[order]
+    repeated = np.flatnonzero(dates[1:] == dates[:-1])
+    if repeated.size:
+        raise DuplicateDate(f"{label}: duplicate date {dates[repeated[0]].item().isoformat()}")
+    quoted = ~np.isnan(closes)
+    if not quoted.all():
+        logger.info("%s: dropped %d missing close(s)", label, quoted.size - quoted.sum())
+    return [
+        PriceSeries(ticker=name, dates=dates[quoted[:, col]], closes=closes[quoted[:, col], col])
+        for col, name in enumerate(names)
+    ]
 
 
 def parse_price_csv(source: IO[bytes] | IO[str] | bytes | str, ticker: str) -> PriceSeries:
@@ -168,41 +213,14 @@ def parse_price_csv(source: IO[bytes] | IO[str] | bytes | str, ticker: str) -> P
     Raises MalformedCsv for header/arity problems, NonPositivePrice for a
     close <= 0, and DuplicateDate for a repeated date.
     """
-    reader = csv.reader(_as_text_lines(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedCsv(f"{ticker}: empty file") from None
-    columns = [name.strip() for name in header]
-    try:
-        date_col = columns.index("Date")
-        close_col = columns.index("Close")
-    except ValueError:
-        raise MalformedCsv(f"{ticker}: header must contain Date and Close, got {columns}") from None
 
-    rows: list[tuple[date, float]] = []
-    dropped = 0
-    for row_number, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(columns):
-            raise MalformedCsv(f"{ticker}: row {row_number} has {len(row)} fields, header has {len(columns)}")
-        day = _parse_iso_date(row[date_col], row_number)
-        close = _parse_close(row[close_col])
-        if close is None:
-            dropped += 1
-            continue
-        if close <= 0.0:
-            raise NonPositivePrice(f"{ticker}: close {close} on {day.isoformat()} (row {row_number})")
-        rows.append((day, close))
+    def pick_columns(header: list[str]) -> tuple[int, list[str], list[int]]:
+        try:
+            return header.index("Date"), [ticker], [header.index("Close")]
+        except ValueError:
+            raise MalformedCsv(f"{ticker}: header must contain Date and Close, got {header}") from None
 
-    if dropped:
-        logger.info("%s: dropped %d row(s) with missing close", ticker, dropped)
-    rows.sort(key=lambda item: item[0])
-    for (day_a, _), (day_b, _) in zip(rows, rows[1:]):
-        if day_a == day_b:
-            raise DuplicateDate(f"{ticker}: duplicate date {day_a.isoformat()}")
-    return PriceSeries(ticker=ticker, observations=tuple(rows))
+    return _read_table(source, ticker, pick_columns)[0]
 
 
 def parse_wide_csv(
@@ -214,48 +232,22 @@ def parse_wide_csv(
     Empty cells are missing quotes for that ticker only. When ``tickers`` is
     given, only those columns are kept, in the given order.
     """
-    reader = csv.reader(_as_text_lines(source))
-    try:
-        header = [name.strip() for name in next(reader)]
-    except StopIteration:
-        raise MalformedCsv("wide CSV: empty file") from None
-    if not header or header[0] != "Date":
-        raise MalformedCsv(f"wide CSV: first column must be Date, got {header[:1]}")
-    all_tickers = header[1:]
-    if not all_tickers or any(not name for name in all_tickers):
-        raise MalformedCsv("wide CSV: every ticker column needs a name")
-    if len(set(all_tickers)) != len(all_tickers):
-        raise MalformedCsv("wide CSV: duplicate ticker columns")
 
-    wanted = list(tickers) if tickers is not None else all_tickers
-    missing = [name for name in wanted if name not in all_tickers]
-    if missing:
-        raise MalformedCsv(f"wide CSV: tickers not present: {missing}")
-    col_of = {name: all_tickers.index(name) + 1 for name in wanted}
+    def pick_columns(header: list[str]) -> tuple[int, list[str], list[int]]:
+        if not header or header[0] != "Date":
+            raise MalformedCsv(f"wide CSV: first column must be Date, got {header[:1]}")
+        all_tickers = header[1:]
+        if not all_tickers or any(not name for name in all_tickers):
+            raise MalformedCsv("wide CSV: every ticker column needs a name")
+        if len(set(all_tickers)) != len(all_tickers):
+            raise MalformedCsv("wide CSV: duplicate ticker columns")
+        wanted = list(tickers) if tickers is not None else all_tickers
+        missing = [name for name in wanted if name not in all_tickers]
+        if missing:
+            raise MalformedCsv(f"wide CSV: tickers not present: {missing}")
+        return 0, wanted, [all_tickers.index(name) + 1 for name in wanted]
 
-    per_ticker: dict[str, list[tuple[date, float]]] = {name: [] for name in wanted}
-    seen_dates: set[date] = set()
-    for row_number, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise MalformedCsv(f"wide CSV: row {row_number} has {len(row)} fields, header has {len(header)}")
-        day = _parse_iso_date(row[0], row_number)
-        if day in seen_dates:
-            raise DuplicateDate(f"wide CSV: duplicate date {day.isoformat()}")
-        seen_dates.add(day)
-        for name in wanted:
-            close = _parse_close(row[col_of[name]])
-            if close is None:
-                continue
-            if close <= 0.0:
-                raise NonPositivePrice(f"{name}: close {close} on {day.isoformat()} (row {row_number})")
-            per_ticker[name].append((day, close))
-
-    return [
-        PriceSeries(ticker=name, observations=tuple(sorted(per_ticker[name])))
-        for name in wanted
-    ]
+    return _read_table(source, "wide CSV", pick_columns)
 
 
 def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
@@ -279,52 +271,34 @@ def align_panel(series: list[PriceSeries], policy: AlignmentPolicy = "intersecti
 
     tickers = tuple(s.ticker for s in series)
     if policy == "intersection":
-        common = set(series[0].dates)
-        for s in series[1:]:
-            common &= set(s.dates)
-        if not common:
+        # series dates are strictly ascending, hence unique
+        kept = reduce(partial(np.intersect1d, assume_unique=True), (s.dates for s in series))
+        if not kept.size:
             raise EmptyIntersection(f"no common dates across {', '.join(tickers)}")
-        dates = tuple(sorted(common))
     else:
-        union: set[date] = set()
-        for s in series:
-            union |= set(s.dates)
+        unquoted = [s.ticker for s in series if not s.dates.size]
+        if unquoted:
+            raise EmptyIntersection(f"no quotes for {', '.join(unquoted)}")
         # a date survives once every ticker has at least one quote on or before it
-        latest_start = max((s.dates[0] for s in series if s.observations), default=None)
-        if latest_start is None or not union:
-            raise EmptyIntersection(f"no dates available across {', '.join(tickers)}")
-        dates = tuple(sorted(day for day in union if day >= latest_start))
+        union = np.unique(np.concatenate([s.dates for s in series]))
+        kept = union[union >= max(s.dates[0] for s in series)]
 
-    if len(dates) < 2:
-        raise InsufficientHistory(f"{len(dates)} aligned date(s) across {', '.join(tickers)}, need >= 2")
-
-    closes = np.empty((len(dates), len(series)), dtype=float)
-    for col, s in enumerate(series):
-        if policy == "intersection":
-            quoted = dict(s.observations)
-            closes[:, col] = [quoted[day] for day in dates]
-        else:
-            observations = s.observations
-            pointer = 0
-            last = np.nan
-            for row, day in enumerate(dates):
-                while pointer < len(observations) and observations[pointer][0] <= day:
-                    last = observations[pointer][1]
-                    pointer += 1
-                closes[row, col] = last  # latest_start guarantees a prior quote exists
-    return PricePanel(tickers=tickers, dates=dates, closes=closes)
+    if kept.size < 2:
+        raise InsufficientHistory(f"{kept.size} aligned date(s) across {', '.join(tickers)}, need >= 2")
+    # each ticker's last quote on or before each kept date: under intersection, that day's own
+    closes = np.column_stack([s.closes[np.searchsorted(s.dates, kept, "right") - 1] for s in series])
+    return PricePanel(tickers=tickers, dates=tuple(kept.tolist()), closes=closes)
 
 
 def slice_period(panel: PricePanel, period: PeriodSpec) -> PricePanel:
     """Restrict a panel to dates inside the period's inclusive window."""
-    keep = [row for row, day in enumerate(panel.dates) if period.contains(day)]
-    if len(keep) < 2:
+    start = bisect.bisect_left(panel.dates, period.start)
+    stop = bisect.bisect_right(panel.dates, period.end)
+    if stop - start < 2:
         raise InsufficientHistory(
             f"{period.label} window {period.start.isoformat()}..{period.end.isoformat()} "
-            f"covers {len(keep)} panel date(s), need >= 2"
+            f"covers {stop - start} panel date(s), need >= 2"
         )
     return PricePanel(
-        tickers=panel.tickers,
-        dates=tuple(panel.dates[row] for row in keep),
-        closes=panel.closes[keep, :],
+        tickers=panel.tickers, dates=panel.dates[start:stop], closes=panel.closes[start:stop]
     )

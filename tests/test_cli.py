@@ -260,6 +260,14 @@ class TestMainEntry:
         assert resolved["eigen"]["variance_threshold"] == 0.8
         assert resolved["sectors"][0]["name"] == "sector1"
 
+    def test_run_prints_config_warnings(self, fixture_config, capsys):
+        raw = json.loads(fixture_config.read_text())
+        raw["hrp"]["distance"] = "euclidean_returns"
+        fixture_config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(fixture_config)]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
+        assert len(warnings) == 1 and "euclidean_returns" in warnings[0] and "deprecated" in warnings[0]
+
     def test_partial_failure_exit_one(self, fixture_config, tmp_path, capsys):
         (tmp_path / "data" / "sector2" / "S2A.csv").unlink()
         assert main(["run", "--config", str(fixture_config)]) == EXIT_PARTIAL
@@ -305,6 +313,7 @@ class TestMainEntry:
         assert main(argv) == EXIT_PARTIAL
         errors = json.loads((out / "errors.json").read_text())
         assert [(e["sector"], e["stage"]) for e in errors] == [("sector1", "load_weights")]
+        assert errors[0]["file"] == str(out / "sector1")
         assert json.loads(capsys.readouterr().err) == errors
         assert (out / "sector2" / "report.json").exists()
         assert not (out / "sector1" / "report.json").exists()

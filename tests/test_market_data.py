@@ -2,6 +2,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_panel
 from portlab.errors import (
@@ -10,6 +12,7 @@ from portlab.errors import (
     InsufficientHistory,
     MalformedCsv,
     NonPositivePrice,
+    PortlabError,
 )
 from portlab.market_data import (
     PeriodSpec,
@@ -25,20 +28,21 @@ from portlab.market_data import (
 def series(ticker, *observations):
     return PriceSeries(
         ticker=ticker,
-        observations=tuple((date.fromisoformat(d), float(c)) for d, c in observations),
+        dates=[date.fromisoformat(d) for d, _ in observations],
+        closes=[float(c) for _, c in observations],
     )
 
 
 class TestParsePriceCsv:
     def test_two_rows(self):
         parsed = parse_price_csv("Date,Close\n2021-01-01,100\n2021-01-04,110\n", "A")
-        assert parsed.dates == (date(2021, 1, 1), date(2021, 1, 4))
-        assert parsed.closes == (100.0, 110.0)
+        assert parsed.dates.tolist() == [date(2021, 1, 1), date(2021, 1, 4)]
+        assert parsed.closes.tolist() == [100.0, 110.0]
 
     def test_unsorted_rows_sorted_ascending(self):
         parsed = parse_price_csv("Date,Close\n2021-01-04,110\n2021-01-01,100\n", "A")
-        assert parsed.dates == (date(2021, 1, 1), date(2021, 1, 4))
-        assert parsed.closes == (100.0, 110.0)
+        assert parsed.dates.tolist() == [date(2021, 1, 1), date(2021, 1, 4)]
+        assert parsed.closes.tolist() == [100.0, 110.0]
 
     def test_negative_close_rejected(self):
         with pytest.raises(NonPositivePrice):
@@ -68,21 +72,21 @@ class TestParsePriceCsv:
         parsed = parse_price_csv(
             "Date,Close\n2021-01-01,100\n2021-01-02,\n2021-01-03,null\n2021-01-04,102\n", "A"
         )
-        assert parsed.dates == (date(2021, 1, 1), date(2021, 1, 4))
+        assert parsed.dates.tolist() == [date(2021, 1, 1), date(2021, 1, 4)]
 
     def test_extra_columns_ignored(self):
         parsed = parse_price_csv(
             "Date,Open,Close,Volume\n2021-01-01,99,100,5000\n2021-01-04,100,110,6000\n", "A"
         )
-        assert parsed.closes == (100.0, 110.0)
+        assert parsed.closes.tolist() == [100.0, 110.0]
 
     def test_accepts_bytes_and_bom(self):
         parsed = parse_price_csv(b"\xef\xbb\xbfDate,Close\n2021-01-01,100\n2021-01-04,101\n", "A")
-        assert parsed.closes == (100.0, 101.0)
+        assert parsed.closes.tolist() == [100.0, 101.0]
 
     def test_accepts_crlf_line_endings(self):
         parsed = parse_price_csv(b"Date,Close\r\n2021-01-01,100\r\n2021-01-04,110\r\n", "A")
-        assert parsed.closes == (100.0, 110.0)
+        assert parsed.closes.tolist() == [100.0, 110.0]
 
     def test_round_trip(self, rng):
         days = sorted(rng.choice(np.arange(1, 3000), size=40, replace=False).tolist())
@@ -90,8 +94,14 @@ class TestParsePriceCsv:
             (date.fromordinal(date(2015, 1, 1).toordinal() + int(d)), float(rng.uniform(1, 900)))
             for d in days
         )
-        original = PriceSeries(ticker="RT", observations=observations)
-        assert parse_price_csv(original.to_csv(), "RT") == original
+        original = PriceSeries(
+            ticker="RT", dates=[d for d, _ in observations], closes=[c for _, c in observations]
+        )
+        parsed = parse_price_csv(original.to_csv(), "RT")
+        assert parsed.ticker == original.ticker
+        assert np.array_equal(parsed.dates, original.dates)
+        assert np.array_equal(parsed.closes, original.closes)
+        assert parsed.observations == observations
 
 
 class TestParseWideCsv:
@@ -99,8 +109,8 @@ class TestParseWideCsv:
 
     def test_per_ticker_series(self):
         a, b = parse_wide_csv(self.TEXT)
-        assert a.closes == (100.0, 110.0, 99.0)
-        assert b.dates == (date(2021, 1, 1), date(2021, 1, 5))  # gap dropped for B only
+        assert a.closes.tolist() == [100.0, 110.0, 99.0]
+        assert b.dates.tolist() == [date(2021, 1, 1), date(2021, 1, 5)]  # gap dropped for B only
 
     def test_ticker_selection(self):
         (b,) = parse_wide_csv(self.TEXT, tickers=["B"])
@@ -113,6 +123,99 @@ class TestParseWideCsv:
     def test_duplicate_column(self):
         with pytest.raises(MalformedCsv):
             parse_wide_csv("Date,A,A\n2021-01-01,1,2\n")
+
+
+def per_ticker(text):
+    return lambda: parse_price_csv(text, "A")
+
+
+def wide(text, tickers=None):
+    return lambda: parse_wide_csv(text, tickers)
+
+
+@pytest.mark.parametrize(
+    "parse, error, message",
+    [
+        pytest.param(per_ticker(""), MalformedCsv, "A: empty file", id="empty"),
+        pytest.param(wide(""), MalformedCsv, "wide CSV: empty file", id="wide-empty"),
+        pytest.param(
+            per_ticker("Date,Open\n2021-01-01,5\n"),
+            MalformedCsv,
+            "A: header must contain Date and Close, got ['Date', 'Open']",
+            id="no-close-column",
+        ),
+        pytest.param(
+            per_ticker("Date,Close\n2021-01-01,5\n2021-01-04,5,9\n"),
+            MalformedCsv,
+            "A: row 3 has 3 fields, header has 2",
+            id="arity",
+        ),
+        pytest.param(
+            wide("Date,A,B\n2021-01-01,1,2\n2021-01-04,3\n"),
+            MalformedCsv,
+            "wide CSV: row 3 has 2 fields, header has 3",
+            id="wide-arity",
+        ),
+        pytest.param(
+            per_ticker("Date,Close\n2021-01-01,5\n01/04/2021,5\n"),
+            MalformedCsv,
+            "row 3: bad date '01/04/2021' (want YYYY-MM-DD)",
+            id="bad-date",
+        ),
+        pytest.param(
+            per_ticker("Date,Close\n\n2021-01-01,5\n2021-01-04,-5\n"),
+            NonPositivePrice,
+            "A: close -5.0 on 2021-01-04 (row 4)",
+            id="nonpositive-after-blank-row",
+        ),
+        pytest.param(
+            wide("Date,A,B\n2021-01-01,1,2\n2021-01-04,3,0\n"),
+            NonPositivePrice,
+            "B: close 0.0 on 2021-01-04 (row 3)",
+            id="wide-nonpositive",
+        ),
+        pytest.param(
+            per_ticker("Date,Close\n2021-01-04,5\n2021-01-01,6\n2021-01-04,7\n"),
+            DuplicateDate,
+            "A: duplicate date 2021-01-04",
+            id="duplicate-date",
+        ),
+        pytest.param(
+            wide("Date,A,B\n2021-01-01,1,2\n2021-01-04,3,4\n2021-01-01,5,6\n"),
+            DuplicateDate,
+            "wide CSV: duplicate date 2021-01-01",
+            id="wide-duplicate-date",
+        ),
+        pytest.param(
+            wide("A,Date\n5,2021-01-01\n"),
+            MalformedCsv,
+            "wide CSV: first column must be Date, got ['A']",
+            id="wide-date-not-first",
+        ),
+        pytest.param(
+            wide("Date,A,\n2021-01-01,5,6\n"),
+            MalformedCsv,
+            "wide CSV: every ticker column needs a name",
+            id="wide-unnamed-column",
+        ),
+        pytest.param(
+            wide("Date,A,A\n2021-01-01,1,2\n"),
+            MalformedCsv,
+            "wide CSV: duplicate ticker columns",
+            id="wide-duplicate-column",
+        ),
+        pytest.param(
+            wide(TestParseWideCsv.TEXT, ["C"]),
+            MalformedCsv,
+            "wide CSV: tickers not present: ['C']",
+            id="wide-unknown-ticker",
+        ),
+    ],
+)
+def test_ingest_error_messages(parse, error, message):
+    with pytest.raises(error) as caught:
+        parse()
+    assert str(caught.value) == message
 
 
 class TestAlignPanel:
@@ -165,7 +268,8 @@ class TestAlignPanel:
             members.append(
                 PriceSeries(
                     ticker=f"T{t}",
-                    observations=tuple((d, float(rng.uniform(10, 99))) for d in days),
+                    dates=days,
+                    closes=[float(rng.uniform(10, 99)) for _ in days],
                 )
             )
         panel = align_panel(members, "intersection")
@@ -222,6 +326,26 @@ class TestInvariants:
         with pytest.raises(NonPositivePrice):
             series("A", ("2021-01-01", 0.0))
 
+    @pytest.mark.parametrize(
+        "dates, closes, message",
+        [
+            (["2021-01-04", "2021-01-01"], [1.0, 2.0], "A: dates not ascending at 2021-01-01"),
+            (["2021-01-01", "NaT"], [1.0, 2.0], "A: (2,) dates (NaT not allowed) for (2,) closes"),
+            (["2021-01-01"], [1.0, 2.0], "A: (1,) dates (NaT not allowed) for (2,) closes"),
+        ],
+    )
+    def test_series_rejects_unordered_or_misshapen(self, dates, closes, message):
+        with pytest.raises(ValueError) as caught:
+            PriceSeries(ticker="A", dates=dates, closes=closes)
+        assert str(caught.value) == message
+
+    def test_series_arrays_immutable(self):
+        prices = series("A", ("2021-01-01", 1.0), ("2021-01-04", 2.0))
+        with pytest.raises(ValueError):
+            prices.closes[0] = 9.0
+        with pytest.raises(ValueError):
+            prices.dates[0] = prices.dates[1]
+
     def test_panel_rejects_single_ticker(self):
         with pytest.raises(ValueError):
             make_panel([[1.0], [2.0]], tickers=("A",))
@@ -248,3 +372,91 @@ class TestInvariants:
         test = PeriodSpec("test", date(2021, 1, 1), date(2021, 11, 1))
         assert not train.overlaps(test)
         assert train.overlaps(PeriodSpec("test", date(2020, 12, 31), date(2021, 1, 5)))
+
+
+BASE_DAY = date(2021, 1, 1).toordinal()
+closes_st = st.floats(min_value=0.01, max_value=1e6, allow_nan=False, allow_infinity=False)
+# a series: distinct day offsets, each with a positive close
+quotes_st = st.dictionaries(st.integers(0, 40), closes_st, max_size=25)
+# a table column: one close or missing-quote token per row
+cells_st = st.one_of(closes_st.map(repr), st.sampled_from(["", "nan", "null", "N/A", "x", "inf"]))
+
+
+def series_of(ticker, quotes):
+    offsets = sorted(quotes)
+    return PriceSeries(
+        ticker=ticker,
+        dates=[date.fromordinal(BASE_DAY + d) for d in offsets],
+        closes=[quotes[d] for d in offsets],
+    )
+
+
+def reference_alignment(members, policy):
+    """Dates and closes by brute force over each series' observations."""
+    quoted = [dict(s.observations) for s in members]
+    if policy == "intersection":
+        kept = sorted(set.intersection(*(set(q) for q in quoted)))
+    else:
+        start = max(min(q) for q in quoted)
+        kept = sorted({day for q in quoted for day in q if day >= start})
+    closes = [[q[max(day for day in q if day <= row)] for q in quoted] for row in kept]
+    return kept, closes
+
+
+class TestIngestProperties:
+    @settings(deadline=None)
+    @given(
+        quotes=st.lists(quotes_st.filter(bool), min_size=2, max_size=4),
+        policy=st.sampled_from(["intersection", "forward_fill"]),
+    )
+    def test_align_matches_per_date_reference(self, quotes, policy):
+        members = [series_of(f"T{i}", q) for i, q in enumerate(quotes)]
+        kept, closes = reference_alignment(members, policy)
+        if len(kept) < 2:
+            with pytest.raises(EmptyIntersection if not kept else InsufficientHistory):
+                align_panel(members, policy)
+            return
+        panel = align_panel(members, policy)
+        assert panel.dates == tuple(kept)
+        assert panel.closes.tolist() == closes
+
+    @settings(deadline=None)
+    @given(
+        offsets=st.lists(st.integers(0, 400), min_size=1, max_size=15, unique=True),
+        n_tickers=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_wide_csv_equals_per_ticker_csvs(self, offsets, n_tickers, data):
+        days = [date.fromordinal(BASE_DAY + d).isoformat() for d in offsets]
+        table = [data.draw(st.lists(cells_st, min_size=n_tickers, max_size=n_tickers)) for _ in days]
+        tickers = [f"T{i}" for i in range(n_tickers)]
+        text = "\n".join(
+            [",".join(["Date", *tickers])] + [",".join([d, *row]) for d, row in zip(days, table)]
+        )
+        for col, parsed in enumerate(parse_wide_csv(text)):
+            single = "\n".join(["Date,Close"] + [f"{d},{row[col]}" for d, row in zip(days, table)])
+            alone = parse_price_csv(single, tickers[col])
+            assert parsed.ticker == alone.ticker
+            assert np.array_equal(parsed.dates, alone.dates)
+            assert np.array_equal(parsed.closes, alone.closes)
+
+    @settings(deadline=None)
+    @given(
+        quotes=st.lists(quotes_st.filter(bool), min_size=1, max_size=3),
+        blank_at=st.integers(0, 3),
+        policy=st.sampled_from(["intersection", "forward_fill"]),
+    )
+    def test_ticker_without_quotes_fails_cleanly(self, quotes, blank_at, policy):
+        # an all-blank wide column: a PortlabError fails the sector, an IndexError would escape
+        offsets = sorted(set().union(*quotes))
+        columns = [[repr(q[d]) if d in q else "" for d in offsets] for q in quotes]
+        columns.insert(min(blank_at, len(columns)), [""] * len(offsets))
+        header = ",".join(["Date", *(f"T{i}" for i in range(len(columns)))])
+        rows = [
+            ",".join([date.fromordinal(BASE_DAY + d).isoformat(), *cells])
+            for d, cells in zip(offsets, zip(*columns))
+        ]
+        members = parse_wide_csv("\n".join([header, *rows]))
+        assert sum(not s.dates.size for s in members) == 1
+        with pytest.raises(PortlabError):
+            align_panel(members, policy)

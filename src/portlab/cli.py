@@ -15,7 +15,6 @@ and byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import logging
@@ -224,7 +223,6 @@ def _run_one_sector(
 
 def run_experiment(
     config: ExperimentConfig,
-    jobs: int = 1,
     sector_filter: str | None = None,
     fmt: str = "json",
     evaluate: bool = True,
@@ -233,9 +231,9 @@ def run_experiment(
     """Process every sector (optionally filtered), write artifacts, summarize.
 
     Each sector builds its weights, or reads the ones exported under
-    ``weights_dir/<sector>/`` when given. Returns the exit status and
-    per-sector results. Sectors run concurrently up to ``jobs`` workers;
-    outputs do not depend on scheduling.
+    ``weights_dir/<sector>/`` when given. Sectors run one at a time, in
+    config order; a failing sector is recorded and the others still run.
+    Returns the exit status and per-sector results.
     """
     sectors = list(config.sectors)
     if sector_filter is not None:
@@ -243,15 +241,9 @@ def run_experiment(
         if not sectors:
             raise ConfigError([f"--sector {sector_filter!r} matches no configured sector"])
     out_dir = Path(config.output_dir)
-
-    def run_one(sector: SectorConfig) -> SectorResult:
-        return _run_one_sector(sector, config, out_dir, fmt, evaluate, weights_dir)
-
-    if jobs > 1 and len(sectors) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, sectors))
-    else:
-        results = [run_one(s) for s in sectors]
+    results = [
+        _run_one_sector(sector, config, out_dir, fmt, evaluate, weights_dir) for sector in sectors
+    ]
 
     reports = [r.report for r in results if r.report is not None]
     if evaluate and reports:
@@ -294,9 +286,10 @@ def _cmd_run(
     args: argparse.Namespace, evaluate: bool = True, weights_dir: Path | None = None
 ) -> int:
     config = _resolved_config(args)
+    if args.jobs != 1:
+        print("warning: --jobs is deprecated and ignored; sectors run one at a time", file=sys.stderr)
     status, results = run_experiment(
         config,
-        jobs=args.jobs,
         sector_filter=args.sector,
         fmt=args.format,
         evaluate=evaluate,
@@ -336,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--config", required=True, help="path to the experiment JSON config")
         sub.add_argument("--out", default=None, help="override the configured output directory")
-        sub.add_argument("--jobs", type=int, default=1, help="concurrent sector workers")
+        # accepted so existing command lines keep working; sectors run one at a time
+        sub.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
         sub.add_argument("--format", choices=("json", "csv"), default="json")
         sub.add_argument("--sector", default=None, help="process only the named sector")
 

@@ -187,34 +187,21 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
 
 
 def quasi_diagonalize(tree: LinkageTree) -> SeriationOrder:
-    """Leaf order of the dendrogram, read off by expanding from the root.
+    """Leaf order of the dendrogram: a depth-first walk from the root, left first.
 
-    Every internal id in the working sequence is replaced in place by its two
-    children, preserving left-to-right order, until only leaves remain. This
-    puts similar assets next to each other, concentrating large covariance
-    entries near the diagonal of the reordered matrix.
+    This puts similar assets next to each other, concentrating large
+    covariance entries near the diagonal of the reordered matrix.
     """
-    n = tree.n_leaves
-    if not tree.rows:
-        return SeriationOrder(order=(0,))
-    root = tree.rows[-1]
-    sequence: list[int] = [root.left_id, root.right_id]
-    while True:
-        expanded: list[int] = []
-        saw_internal = False
-        for node in sequence:
-            if node < n:
-                expanded.append(node)
-                continue
-            row_index = node - n
-            if row_index >= len(tree.rows):
-                raise MalformedTree(f"dangling id {node} during expansion")
-            row = tree.rows[row_index]
-            expanded.extend((row.left_id, row.right_id))
-            saw_internal = True
-        sequence = expanded
-        if not saw_internal:
-            return SeriationOrder(order=tuple(sequence))
+    order: list[int] = []
+    stack = [tree.root_id]
+    while stack:
+        node = stack.pop()
+        if node < tree.n_leaves:
+            order.append(node)
+        else:
+            row = tree.rows[node - tree.n_leaves]
+            stack.extend((row.right_id, row.left_id))
+    return SeriationOrder(order=tuple(order))
 
 
 def inverse_variance_weights(cov: CovarianceMatrix, subset: Sequence[int]) -> np.ndarray:

@@ -36,6 +36,8 @@ class PortfolioWeights:
         object.__setattr__(self, "weights", weights)
         if weights.shape != (len(self.tickers),):
             raise ValueError(f"{len(self.tickers)} tickers but weight shape {weights.shape}")
+        if len(set(self.tickers)) != len(self.tickers):
+            raise ValueError("duplicate tickers in weights")
         if not np.isfinite(weights).all():
             raise ValueError("weights contain non-finite values")
         total = float(weights.sum())
@@ -71,9 +73,11 @@ def weights_from_csv(
         raise ValueError(f"weights CSV must start with 'ticker,weight', got {header}")
     tickers: list[str] = []
     values: list[float] = []
-    for row in reader:
+    for row_number, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
+        if len(row) < 2:
+            raise ValueError(f"weights CSV row {row_number}: expected 'ticker,weight', got {row}")
         tickers.append(row[0].strip())
         values.append(float(row[1]))
     return PortfolioWeights(

@@ -231,6 +231,12 @@ class TestWeightsCsv:
         with pytest.raises(ValueError):
             weights_from_csv("symbol,value\nA,1.0\n", "HRP", date(2020, 12, 31))
 
+    def test_duplicate_ticker_rejected(self):
+        from portlab.portfolio import weights_from_csv
+
+        with pytest.raises(ValueError, match="duplicate"):
+            weights_from_csv("ticker,weight\nA,0.5\nA,0.5\n", "EIGEN", date(2020, 12, 31))
+
 
 class TestNoLookAhead:
     def test_perturbing_test_prices_keeps_weights(self, rng):

@@ -163,14 +163,6 @@ class TestRunExperiment:
         }
         assert first == second
 
-    def test_jobs_do_not_change_outputs(self, fixture_config, tmp_path):
-        config = load_config(fixture_config)
-        run_experiment(config, jobs=1)
-        serial = {p.name: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
-        run_experiment(config, jobs=4)
-        threaded = {p.name: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
-        assert serial == threaded
-
     def test_failing_sector_isolated(self, fixture_config, tmp_path):
         (tmp_path / "data" / "sector1" / "S1A.csv").unlink()
         config = load_config(fixture_config)
@@ -319,6 +311,42 @@ class TestMainEntry:
         assert not (out / "sector1" / "report.json").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["winners"]) == {"sector2"}
+
+    def test_backtest_short_weights_row_isolated(self, fixture_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["build", "--config", str(fixture_config)]) == EXIT_OK
+        weights = out / "sector1" / "weights_hrp.csv"
+        lines = weights.read_text().splitlines()
+        lines[1] = lines[1].split(",")[0]
+        weights.write_text("\n".join(lines) + "\n")
+        argv = ["backtest", "--config", str(fixture_config), "--weights", str(out)]
+        assert main(argv) == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["sector"], e["stage"]) for e in errors] == [("sector1", "load_weights")]
+        assert "row 2" in errors[0]["cause"] and "ticker,weight" in errors[0]["cause"]
+        assert (out / "sector2" / "report.json").exists()
+        assert (out / "summary.json").exists()
+
+    def test_benchmark_argv_shapes(self, fixture_config, monkeypatch, capsys):
+        # the command lines benchmark/workloads.py runs, relative to the fixture root
+        monkeypatch.chdir(fixture_config.parent)
+        assert main(["build", "--config", "config.json", "--out", "weights"]) == EXIT_OK
+        assert main(["run", "--config", "config.json", "--jobs", "1"]) == EXIT_OK
+        backtest = ["backtest", "--config", "config.json", "--weights", "weights", "--jobs", "1"]
+        assert main(backtest) == EXIT_OK
+        assert "--jobs" not in capsys.readouterr().err
+
+    def test_jobs_flag_is_ignored(self, fixture_config, tmp_path, capsys):
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        common = ["run", "--config", str(fixture_config), "--out"]
+        assert main([*common, str(tmp_path / "plain")]) == EXIT_OK
+        assert "--jobs" not in capsys.readouterr().err
+        assert main([*common, str(tmp_path / "jobs"), "--jobs", "4"]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "--jobs" in line]
+        assert warnings == ["warning: --jobs is deprecated and ignored; sectors run one at a time"]
+        assert tree(tmp_path / "jobs") == tree(tmp_path / "plain")
 
     def test_config_hash_independent_of_out(self, fixture_config, tmp_path):
         hashes = set()

@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -270,6 +271,8 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
             risk_free = float(os.environ[ENV_RISK_FREE])
         except ValueError as bad:
             raise ConfigError([f"{ENV_RISK_FREE}: {bad}"]) from bad
+        if not math.isfinite(risk_free):
+            raise ConfigError([f"{ENV_RISK_FREE}: must be a finite number, got {risk_free}"])
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     output_dir = getattr(args, "out", None) or os.environ.get(ENV_OUTPUT_DIR)

@@ -9,6 +9,7 @@ on the parsed result.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from datetime import date
 from importlib import resources
@@ -202,8 +203,10 @@ def validate_config(raw: dict[str, Any]) -> ExperimentConfig:
         problems.append("train and test periods overlap")
 
     risk_free = pick("risk_free_rate")
-    if not isinstance(risk_free, (int, float)) or isinstance(risk_free, bool):
-        problems.append("risk_free_rate: must be a number")
+    # a bound, not math.isfinite, which raises on json integers beyond float range; NaN fails it too
+    finite = isinstance(risk_free, (int, float)) and abs(risk_free) <= sys.float_info.max
+    if not finite or isinstance(risk_free, bool):
+        problems.append("risk_free_rate: must be a finite number")
         risk_free = 0.0
 
     alignment = pick("alignment")

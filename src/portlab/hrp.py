@@ -131,6 +131,13 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
 
     which keeps merge heights nondecreasing. ``single``, ``complete`` and
     ``average`` are available behind the same interface.
+
+    The working matrix keeps the active clusters in ascending id order: a
+    merge drops both children's rows and columns and appends the new
+    cluster, whose id n + step is the largest yet. Exactly symmetric (taken
+    from the input's upper triangle) with an infinite diagonal, the matrix
+    has its first row-major minimum above the diagonal, at the tied pair
+    with the smallest (left_id, right_id).
     """
     n = len(dist.tickers)
     if n < 2:
@@ -138,50 +145,38 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
     if method not in ("ward", "single", "complete", "average"):
         raise ValueError(f"unknown linkage method {method!r}")
 
-    d = dist.values.copy()
+    d = np.triu(dist.values, 1)
+    d += d.T
     np.fill_diagonal(d, np.inf)
-    cluster_id = np.arange(n)
+    ids = np.arange(n)
     sizes = np.ones(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
     rows: list[Merge] = []
 
     for step in range(n - 1):
-        height = d.min()
-        ii, jj = np.nonzero(d == height)
-        upper = ii < jj
-        ii, jj = ii[upper], jj[upper]
-        lo = np.minimum(cluster_id[ii], cluster_id[jj])
-        hi = np.maximum(cluster_id[ii], cluster_id[jj])
-        pick = np.lexsort((hi, lo))[0]
-        i, j = int(ii[pick]), int(jj[pick])
-        left, right = int(lo[pick]), int(hi[pick])
-
+        i, j = divmod(int(d.argmin()), len(ids))
+        height = d[i, j]
         merged_size = int(sizes[i] + sizes[j])
-        rows.append(Merge(left, right, float(height), merged_size))
+        rows.append(Merge(int(ids[i]), int(ids[j]), float(height), merged_size))
 
-        others = active.copy()
-        others[i] = others[j] = False
-        k = np.nonzero(others)[0]
-        if k.size:
-            d_ik, d_jk = d[i, k], d[j, k]
-            if method == "ward":
-                ni, nj, nk = sizes[i], sizes[j], sizes[k]
-                numerator = (ni + nk) * d_ik**2 + (nj + nk) * d_jk**2 - nk * height**2
-                updated = np.sqrt(np.maximum(numerator, 0.0) / (ni + nj + nk))
-            elif method == "single":
-                updated = np.minimum(d_ik, d_jk)
-            elif method == "complete":
-                updated = np.maximum(d_ik, d_jk)
-            else:
-                updated = (sizes[i] * d_ik + sizes[j] * d_jk) / (sizes[i] + sizes[j])
-            d[i, k] = updated
-            d[k, i] = updated
+        k = np.delete(np.arange(len(ids)), (i, j))
+        d_ik, d_jk = d[i, k], d[j, k]
+        if method == "ward":
+            ni, nj, nk = sizes[i], sizes[j], sizes[k]
+            numerator = (ni + nk) * d_ik**2 + (nj + nk) * d_jk**2 - nk * height**2
+            updated = np.sqrt(np.maximum(numerator, 0.0) / (ni + nj + nk))
+        elif method == "single":
+            updated = np.minimum(d_ik, d_jk)
+        elif method == "complete":
+            updated = np.maximum(d_ik, d_jk)
+        else:
+            updated = (sizes[i] * d_ik + sizes[j] * d_jk) / (sizes[i] + sizes[j])
+        d[i, k] = updated
+        d[k, i] = updated
 
-        d[j, :] = np.inf
-        d[:, j] = np.inf
-        active[j] = False
-        cluster_id[i] = n + step
-        sizes[i] = merged_size
+        keep = np.append(k, i)
+        d = d[np.ix_(keep, keep)]
+        ids = np.append(ids[k], n + step)
+        sizes = np.append(sizes[k], merged_size)
 
     return LinkageTree(n_leaves=n, rows=tuple(rows))
 
@@ -237,7 +232,7 @@ def recursive_bisection(
     1 - alpha. When both half variances underflow the numerical floor the
     split falls back to alpha = 0.5 and the event is counted in metadata.
     """
-    if sorted(order.order) != list(range(len(cov.tickers))):
+    if len(order.order) != len(cov.tickers):  # SeriationOrder is already a permutation
         raise ValueError("seriation order does not cover the covariance tickers")
 
     weights = np.ones(len(cov.tickers))
@@ -295,7 +290,7 @@ def build_hrp_portfolio(
     covariance. The tree and seriation come back alongside the weights for
     export.
     """
-    tree =ward_linkage(correlation_distance(corr), method=linkage_method)
+    tree = ward_linkage(correlation_distance(corr), method=linkage_method)
     order = quasi_diagonalize(tree)
     weights = recursive_bisection(
         cov,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from functools import partial, reduce
 from pathlib import Path
-from typing import IO, Callable, Iterable, Literal, Sequence
+from typing import IO, Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -151,6 +151,16 @@ def _parse_close(raw: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
+def _csv_rows(text: str, label: str) -> Iterator[list[str]]:
+    """The csv rows of ``text``; a reader fault, such as a field over the csv
+    module's 131,072-character limit, becomes a MalformedCsv naming the line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as bad:
+        raise MalformedCsv(f"{label}: line {reader.line_num}: {bad}") from None
+
+
 def _read_table(
     source: IO[bytes] | IO[str] | bytes | str,
     label: str,
@@ -163,7 +173,7 @@ def _read_table(
     """
     raw = source if isinstance(source, (bytes, str)) else source.read()
     text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text, label)
     try:
         header = [name.strip() for name in next(reader)]
     except StopIteration:

@@ -68,18 +68,25 @@ def weights_from_csv(
     """Rebuild PortfolioWeights from a ``ticker,weight`` CSV."""
     text = source if isinstance(source, str) else source.read()
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        rows = list(reader)
+    except csv.Error as bad:  # e.g. a field over the csv module's 131,072-character limit
+        raise ValueError(f"weights CSV row {reader.line_num}: {bad}") from None
+    header = rows[0] if rows else None
     if header is None or [cell.strip() for cell in header[:2]] != ["ticker", "weight"]:
         raise ValueError(f"weights CSV must start with 'ticker,weight', got {header}")
     tickers: list[str] = []
     values: list[float] = []
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) < 2:
             raise ValueError(f"weights CSV row {row_number}: expected 'ticker,weight', got {row}")
+        try:
+            values.append(float(row[1]))
+        except ValueError:
+            raise ValueError(f"weights CSV row {row_number}: weight {row[1]!r} is not a number") from None
         tickers.append(row[0].strip())
-        values.append(float(row[1]))
     return PortfolioWeights(
         tickers=tuple(tickers),
         weights=np.array(values, dtype=float),

@@ -237,6 +237,22 @@ class TestWeightsCsv:
         with pytest.raises(ValueError, match="duplicate"):
             weights_from_csv("ticker,weight\nA,0.5\nA,0.5\n", "EIGEN", date(2020, 12, 31))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param("B,abc", "weights CSV row 3: weight 'abc' is not a number", id="non-numeric"),
+            pytest.param(
+                'B,"' + "9" * 200_000 + '"', "weights CSV row 3: field larger than field limit", id="long-field"
+            ),
+        ],
+    )
+    def test_bad_weight_row_named(self, row, message):
+        from portlab.portfolio import weights_from_csv
+
+        with pytest.raises(ValueError) as caught:
+            weights_from_csv(f"ticker,weight\nA,0.5\n{row}\n", "EIGEN", date(2020, 12, 31))
+        assert str(caught.value).startswith(message)
+
 
 class TestNoLookAhead:
     def test_perturbing_test_prices_keeps_weights(self, rng):

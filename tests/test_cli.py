@@ -266,6 +266,18 @@ class TestMainEntry:
         stderr = capsys.readouterr().err
         assert json.loads(stderr)[0]["sector"] == "sector2"
 
+    def test_csv_reader_fault_isolated(self, fixture_config, tmp_path, capsys):
+        # a quoted field over the csv module's 131,072-character limit
+        with open(tmp_path / "data" / "sector2" / "S2C.csv", "a") as handle:
+            handle.write('2021-11-02,"' + "9" * 200_000 + '"\n')
+        assert main(["run", "--config", str(fixture_config)]) == EXIT_PARTIAL
+        out = tmp_path / "out"
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["sector"], e["stage"]) for e in errors] == [("sector2", "ingest")]
+        assert "S2C: line" in errors[0]["cause"] and "field limit" in errors[0]["cause"]
+        assert (out / "sector1" / "report.json").exists()
+        assert (out / "summary.json").exists()
+
     def test_build_then_backtest(self, fixture_config, tmp_path, capsys):
         assert main(["build", "--config", str(fixture_config)]) == EXIT_OK
         out = tmp_path / "out"
@@ -373,6 +385,22 @@ class TestMainEntry:
     def test_bad_env_risk_free_exit_two(self, fixture_config, monkeypatch):
         monkeypatch.setenv("PORTLAB_RISK_FREE", "not-a-number")
         assert main(["run", "--config", str(fixture_config)]) == EXIT_CONFIG
+
+    def test_non_finite_env_risk_free_exit_two(self, fixture_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PORTLAB_RISK_FREE", "nan")
+        assert main(["run", "--config", str(fixture_config)]) == EXIT_CONFIG
+        assert "PORTLAB_RISK_FREE" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # json accepts the non-standard NaN and Infinity tokens, and integers beyond float range
+    @pytest.mark.parametrize("token", ["Infinity", "NaN", pytest.param("1" + "0" * 400, id="1e400")])
+    def test_non_finite_config_risk_free_exit_two(self, fixture_config, capsys, token):
+        text = fixture_config.read_text().replace('"risk_free_rate": 0.0', f'"risk_free_rate": {token}')
+        fixture_config.write_text(text)
+        assert main(["validate", "--config", str(fixture_config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "risk_free_rate: must be a finite number" in captured.err
+        assert captured.out == ""
 
 
 class TestWideFormatConfig:

@@ -4,6 +4,8 @@ from datetime import date
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import two_block_returns
 from oracles import brute_force_ward, closed_form_ivp, ward_centroid_heights
@@ -108,8 +110,9 @@ class TestWardLinkage:
         assert tree.rows[1].height == pytest.approx(math.sqrt(27.0), abs=1e-12)
         assert tree.rows[1].size == 3
 
-    def test_all_zero_distances_tie_break_deterministic(self):
-        tree = ward_linkage(distance_from(np.zeros((4, 4))))
+    @pytest.mark.parametrize("method", ["ward", "single", "complete", "average"])
+    def test_all_zero_distances_tie_break_deterministic(self, method):
+        tree = ward_linkage(distance_from(np.zeros((4, 4))), method=method)
         assert [(r.left_id, r.right_id, r.height) for r in tree.rows] == [
             (0, 1, 0.0),
             (2, 3, 0.0),
@@ -137,6 +140,21 @@ class TestWardLinkage:
             ]
             for row, (_, _, height, _) in zip(mine.rows, reference):
                 assert row.height == pytest.approx(height, abs=1e-10)
+
+    @settings(deadline=None)
+    @given(points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=9))
+    def test_matches_brute_force_on_tie_heavy_lattice(self, points):
+        # lattice distances rounded to 0.1 tie often, so the (left_id, right_id) rule decides merges
+        xy = np.array(points, dtype=float)
+        values = np.round(np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)), 1)
+        rows = ward_linkage(distance_from(values)).rows
+        assert [tuple(row) for row in rows] == brute_force_ward(values)
+
+    def test_reads_upper_triangle_of_nearly_symmetric_input(self):
+        # DistanceMatrix admits asymmetry up to 1e-12; the linkage reads the upper triangle
+        values = np.array([[0.0, 0.5, 0.9], [0.5 - 1e-13, 0.0, 0.7], [0.9, 0.7, 0.0]])
+        tree = ward_linkage(distance_from(values), method="single")
+        assert tree.rows == (Merge(0, 1, 0.5, 2), Merge(2, 3, 0.7, 3))
 
     def test_matches_scipy_on_euclidean_points(self, rng):
         for _ in range(5):

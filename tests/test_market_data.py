@@ -205,6 +205,18 @@ def wide(text, tickers=None):
             id="wide-duplicate-column",
         ),
         pytest.param(
+            per_ticker('Date,Close\n2021-01-01,5\n2021-01-04,"' + "9" * 200_000 + '"\n'),
+            MalformedCsv,
+            "A: line 3: field larger than field limit (131072)",
+            id="field-over-csv-limit",
+        ),
+        pytest.param(
+            wide('Date,A\n2021-01-01,"' + "9" * 200_000 + '"\n'),
+            MalformedCsv,
+            "wide CSV: line 2: field larger than field limit (131072)",
+            id="wide-field-over-csv-limit",
+        ),
+        pytest.param(
             wide(TestParseWideCsv.TEXT, ["C"]),
             MalformedCsv,
             "wide CSV: tickers not present: ['C']",

@@ -15,7 +15,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import TickerMismatch
-from .market_data import PricePanel
+from .market_data import PricePanel, _frozen
 from .portfolio import PortfolioWeights
 from .returns_stats import (
     TRADING_DAYS_PER_YEAR,
@@ -43,11 +43,11 @@ class ReturnSeries:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        values = _frozen(self, "values")
         if values.shape != (len(self.dates),):
             raise ValueError("series values do not match dates")
+        if not np.isfinite(values).all():
+            raise ValueError("series values contain non-finite values")
 
     def to_csv(self) -> str:
         lines = ["date,return"]

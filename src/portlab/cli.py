@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import backtest as bt
@@ -276,7 +276,8 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     output_dir = getattr(args, "out", None) or os.environ.get(ENV_OUTPUT_DIR)
-    return config.with_overrides(risk_free_rate=risk_free, output_dir=output_dir)
+    overrides = {"risk_free_rate": risk_free, "output_dir": output_dir}
+    return replace(config, **{name: value for name, value in overrides.items() if value is not None})
 
 
 def _emit_failures(results: list[SectorResult]) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from importlib import resources
 from pathlib import Path
@@ -66,18 +66,6 @@ class ExperimentConfig:
     output_dir: str
     applied_defaults: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
-
-    def with_overrides(
-        self,
-        risk_free_rate: float | None = None,
-        output_dir: str | None = None,
-    ) -> "ExperimentConfig":
-        updated = self
-        if risk_free_rate is not None:
-            updated = replace(updated, risk_free_rate=risk_free_rate)
-        if output_dir is not None:
-            updated = replace(updated, output_dir=output_dir)
-        return updated
 
     def as_dict(self) -> dict[str, Any]:
         return {

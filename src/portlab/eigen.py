@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateLoadingSum, NoViableCandidate, ZeroVarianceAsset, ZeroVolatility
+from .market_data import _frozen
 from .portfolio import PortfolioWeights
 from .returns_stats import (
     TRADING_DAYS_PER_YEAR,
@@ -46,10 +47,9 @@ class PCAModel:
     standardized: bool
 
     def __post_init__(self) -> None:
-        for name in ("eigenvalues", "loadings", "explained_ratio"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        arrays = [_frozen(self, name) for name in ("eigenvalues", "loadings", "explained_ratio")]
+        if not all(np.isfinite(values).all() for values in arrays):
+            raise ValueError("eigenvalues, loadings and explained ratios must be finite")
         n = len(self.tickers)
         if self.eigenvalues.shape != (n,) or self.explained_ratio.shape != (n,):
             raise ValueError("eigenvalues/explained_ratio must have one entry per ticker")

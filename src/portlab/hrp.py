@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MalformedTree, ZeroVarianceAsset
 from .portfolio import PortfolioWeights
-from .returns_stats import VARIANCE_FLOOR, CorrelationMatrix, CovarianceMatrix
+from .returns_stats import VARIANCE_FLOOR, CorrelationMatrix, CovarianceMatrix, _square_matrix
 
 LinkageMethod = Literal["ward", "single", "complete", "average"]
 
@@ -38,16 +38,9 @@ class DistanceMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        n = len(self.tickers)
-        if values.shape != (n, n):
-            raise ValueError(f"distance shape {values.shape} does not match {n} tickers")
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ValueError("distances must be finite and >= 0")
-        if np.abs(values - values.T).max() > 1e-12:
-            raise ValueError("distance matrix not symmetric within 1e-12")
+        values = _square_matrix(self, "distance")
+        if (values < 0).any():
+            raise ValueError("distances must be >= 0")
         if np.abs(np.diag(values)).max() != 0.0:
             raise ValueError("distance diagonal must be exactly 0")
 
@@ -84,6 +77,8 @@ class LinkageTree:
                 consumed.add(child)
             if row.left_id >= row.right_id:
                 raise MalformedTree(f"row {k}: children not ordered left < right")
+            if not np.isfinite(row.height):
+                raise MalformedTree(f"row {k}: height {row.height} is not finite")
             if row.height < previous_height - 1e-9 * max(1.0, abs(previous_height)):
                 raise MalformedTree(f"row {k}: height {row.height} below previous {previous_height}")
             if row.size != sizes[row.left_id] + sizes[row.right_id]:

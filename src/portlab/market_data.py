@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from functools import partial, reduce
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Literal, Sequence
+from typing import IO, Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -34,6 +34,15 @@ logger = logging.getLogger(__name__)
 
 AlignmentPolicy = Literal["intersection", "forward_fill"]
 PeriodLabel = Literal["train", "test"]
+
+
+def _frozen(instance: object, name: str, dtype: type | str = float) -> np.ndarray:
+    """Cast the frozen dataclass field ``name`` to a read-only ``dtype`` array,
+    store it back on ``instance`` and return it."""
+    values = np.asarray(getattr(instance, name), dtype=dtype)
+    values.flags.writeable = False
+    object.__setattr__(instance, name, values)
+    return values
 
 
 def _as_days(days: Sequence[date]) -> np.ndarray:
@@ -55,13 +64,10 @@ class PriceSeries:
     closes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        dates = np.asarray(self.dates, dtype="datetime64[D]")
-        closes = np.asarray(self.closes, dtype=float)
+        dates = _frozen(self, "dates", "datetime64[D]")
+        closes = _frozen(self, "closes")
         if dates.ndim != 1 or dates.shape != closes.shape or np.isnat(dates).any():
             raise ValueError(f"{self.ticker}: {dates.shape} dates (NaT not allowed) for {closes.shape} closes")
-        for name, values in (("dates", dates), ("closes", closes)):
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
         unordered = np.flatnonzero(dates[1:] <= dates[:-1]) + 1
         if unordered.size:
             row = unordered[0]
@@ -95,9 +101,7 @@ class PricePanel:
     closes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        closes = np.asarray(self.closes, dtype=float)
-        closes.flags.writeable = False
-        object.__setattr__(self, "closes", closes)
+        closes = _frozen(self, "closes")
         if len(self.tickers) < 2:
             raise ValueError("panel needs at least 2 tickers")
         if len(self.dates) < 2:
@@ -143,22 +147,11 @@ class PeriodSpec:
 
 
 def _parse_close(raw: str) -> float:
-    """The close value, or NaN for a missing quote: empty, non-numeric or non-finite."""
+    """The close value, or NaN for an empty or non-numeric cell."""
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         return math.nan
-    return value if math.isfinite(value) else math.nan
-
-
-def _csv_rows(text: str, label: str) -> Iterator[list[str]]:
-    """The csv rows of ``text``; a reader fault, such as a field over the csv
-    module's 131,072-character limit, becomes a MalformedCsv naming the line."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        yield from reader
-    except csv.Error as bad:
-        raise MalformedCsv(f"{label}: line {reader.line_num}: {bad}") from None
 
 
 def _read_table(
@@ -169,33 +162,38 @@ def _read_table(
     """The row reader behind both parsers: one series per close column.
 
     ``pick_columns`` maps the stripped header to the date column, the series
-    names and their close columns. A date may appear on one row only.
+    names and their close columns. A date may appear on one row only. An
+    empty, non-numeric or non-finite close is a missing quote. A csv reader
+    fault, such as a field over the csv module's 131,072-character limit,
+    becomes a MalformedCsv naming the line.
     """
     raw = source if isinstance(source, (bytes, str)) else source.read()
     text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
-    reader = _csv_rows(text, label)
-    try:
-        header = [name.strip() for name in next(reader)]
-    except StopIteration:
-        raise MalformedCsv(f"{label}: empty file") from None
-    date_col, names, close_cols = pick_columns(header)
-
+    reader = csv.reader(io.StringIO(text))
     days: list[date] = []
     row_numbers: list[int] = []
     cells: list[float] = []
-    for row_number, row in enumerate(reader, start=2):
-        if not "".join(row).strip():
-            continue
-        if len(row) != len(header):
-            raise MalformedCsv(f"{label}: row {row_number} has {len(row)} fields, header has {len(header)}")
-        try:
-            days.append(date.fromisoformat(row[date_col].strip()))
-        except ValueError:
-            raise MalformedCsv(f"row {row_number}: bad date {row[date_col]!r} (want YYYY-MM-DD)") from None
-        row_numbers.append(row_number)
-        cells.extend([_parse_close(row[col]) for col in close_cols])
+    try:
+        header = [name.strip() for name in next(reader)]
+        date_col, names, close_cols = pick_columns(header)
+        for row_number, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise MalformedCsv(f"{label}: row {row_number} has {len(row)} fields, header has {len(header)}")
+            try:
+                days.append(date.fromisoformat(row[date_col].strip()))
+            except ValueError:
+                raise MalformedCsv(f"row {row_number}: bad date {row[date_col]!r} (want YYYY-MM-DD)") from None
+            row_numbers.append(row_number)
+            cells.extend([_parse_close(row[col]) for col in close_cols])
+    except StopIteration:
+        raise MalformedCsv(f"{label}: empty file") from None
+    except csv.Error as bad:
+        raise MalformedCsv(f"{label}: line {reader.line_num}: {bad}") from None
 
     closes = np.array(cells, dtype=float).reshape(len(days), len(close_cols))
+    closes[np.isinf(closes)] = np.nan  # before the sign check: -inf is a missing quote too
     nonpositive = np.argwhere(closes <= 0.0)
     if nonpositive.size:
         row, col = nonpositive[0]

@@ -10,6 +10,8 @@ from typing import IO, Any, Literal
 
 import numpy as np
 
+from .market_data import _frozen
+
 Method = Literal["HRP", "EIGEN"]
 
 WEIGHT_SUM_TOL = 1e-9
@@ -31,9 +33,7 @@ class PortfolioWeights:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
+        weights = _frozen(self, "weights")
         if weights.shape != (len(self.tickers),):
             raise ValueError(f"{len(self.tickers)} tickers but weight shape {weights.shape}")
         if len(set(self.tickers)) != len(self.tickers):
@@ -48,9 +48,6 @@ class PortfolioWeights:
 
     def as_dict(self) -> dict[str, float]:
         return {ticker: float(w) for ticker, w in zip(self.tickers, self.weights)}
-
-    def weight_of(self, ticker: str) -> float:
-        return float(self.weights[self.tickers.index(ticker)])
 
     def to_csv(self) -> str:
         """``ticker,weight`` rows; weights keep full round-trip precision."""

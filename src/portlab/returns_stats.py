@@ -10,14 +10,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date
+from typing import Any
 
 import numpy as np
 
 from .errors import InsufficientObservations, ZeroVarianceAsset, ZeroVolatility
-from .market_data import PricePanel
+from .market_data import PricePanel, _frozen
 
 TRADING_DAYS_PER_YEAR = 250
 VARIANCE_FLOOR = 1e-16  # in return^2 units; below it an asset is rejected
+
+
+def _square_matrix(instance: Any, kind: str) -> np.ndarray:
+    """Freeze ``instance.values`` and check the rules every matrix type shares:
+    one row and column per ticker, finite entries, symmetric within 1e-12."""
+    values = _frozen(instance, "values")
+    n = len(instance.tickers)
+    if values.shape != (n, n):
+        raise ValueError(f"{kind} shape {values.shape} does not match {n} tickers")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{kind} contains non-finite values")
+    if np.abs(values - values.T).max() > 1e-12:
+        raise ValueError(f"{kind} not symmetric within 1e-12")
+    return values
 
 
 @dataclass(frozen=True)
@@ -29,9 +44,7 @@ class ReturnsMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        values = _frozen(self, "values")
         if values.shape != (len(self.dates), len(self.tickers)):
             raise ValueError(f"returns shape {values.shape} does not match dates x tickers")
         if not np.isfinite(values).all():
@@ -40,9 +53,6 @@ class ReturnsMatrix:
     @property
     def n_obs(self) -> int:
         return self.values.shape[0]
-
-    def column(self, ticker: str) -> np.ndarray:
-        return self.values[:, self.tickers.index(ticker)]
 
 
 @dataclass(frozen=True)
@@ -53,17 +63,8 @@ class CovarianceMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        n = len(self.tickers)
-        if values.shape != (n, n):
-            raise ValueError(f"covariance shape {values.shape} does not match {n} tickers")
-        if not np.isfinite(values).all():
-            raise ValueError("covariance contains non-finite values")
-        if np.abs(values - values.T).max() > 1e-12:
-            raise ValueError("covariance not symmetric within 1e-12")
-        if n and np.linalg.eigvalsh(values).min() < -1e-10:
+        values = _square_matrix(self, "covariance")
+        if np.linalg.eigvalsh(values).min() < -1e-10:
             raise ValueError("covariance not positive semi-definite (eigenvalue below -1e-10)")
 
     @property
@@ -79,16 +80,9 @@ class CorrelationMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        n = len(self.tickers)
-        if values.shape != (n, n):
-            raise ValueError(f"correlation shape {values.shape} does not match {n} tickers")
+        values = _square_matrix(self, "correlation")
         if np.abs(np.diag(values) - 1.0).max() > 1e-12:
             raise ValueError("correlation diagonal must be 1")
-        if np.abs(values - values.T).max() > 1e-12:
-            raise ValueError("correlation not symmetric within 1e-12")
         if np.abs(values).max() > 1.0:
             raise ValueError("correlation entries must lie in [-1, 1]")
 

@@ -74,6 +74,17 @@ class TestParsePriceCsv:
         )
         assert parsed.dates.tolist() == [date(2021, 1, 1), date(2021, 1, 4)]
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
+    def test_non_finite_close_is_missing_quote(self, token):
+        parsed = parse_price_csv(f"Date,Close\n2021-01-01,100\n2021-01-02,{token}\n2021-01-04,102\n", "A")
+        assert parsed.dates.tolist() == [date(2021, 1, 1), date(2021, 1, 4)]
+        assert parsed.closes.tolist() == [100.0, 102.0]
+
+    def test_blank_first_line_is_a_bad_header(self):
+        with pytest.raises(MalformedCsv) as caught:
+            parse_price_csv("\nDate,Close\n2021-01-01,5\n", "A")
+        assert str(caught.value) == "A: header must contain Date and Close, got []"
+
     def test_extra_columns_ignored(self):
         parsed = parse_price_csv(
             "Date,Open,Close,Volume\n2021-01-01,99,100,5000\n2021-01-04,100,110,6000\n", "A"
@@ -111,6 +122,12 @@ class TestParseWideCsv:
         a, b = parse_wide_csv(self.TEXT)
         assert a.closes.tolist() == [100.0, 110.0, 99.0]
         assert b.dates.tolist() == [date(2021, 1, 1), date(2021, 1, 5)]  # gap dropped for B only
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
+    def test_non_finite_close_is_missing_quote(self, token):
+        a, b = parse_wide_csv(f"Date,A,B\n2021-01-01,100,50\n2021-01-04,{token},51\n")
+        assert a.dates.tolist() == [date(2021, 1, 1)]
+        assert b.closes.tolist() == [50.0, 51.0]
 
     def test_ticker_selection(self):
         (b,) = parse_wide_csv(self.TEXT, tickers=["B"])

@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import tempfile
@@ -26,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import backtest as bt
-from .config import ExperimentConfig, SectorConfig, load_config
+from .config import SETTINGS, ExperimentConfig, SectorConfig, load_config
 from .eigen import fit_pca, min_components_for_variance, select_best_eigen
 from .errors import ConfigError, PortlabError
 from .hrp import HrpResult, build_hrp_portfolio, dendrogram_dict
@@ -265,14 +264,16 @@ def run_experiment(
 
 def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config)
-    risk_free = None
-    if ENV_RISK_FREE in os.environ:
+    text = os.environ.get(ENV_RISK_FREE)
+    risk_free: object = text
+    if text is not None:
         try:
-            risk_free = float(os.environ[ENV_RISK_FREE])
-        except ValueError as bad:
-            raise ConfigError([f"{ENV_RISK_FREE}: {bad}"]) from bad
-        if not math.isfinite(risk_free):
-            raise ConfigError([f"{ENV_RISK_FREE}: must be a finite number, got {risk_free}"])
+            risk_free = float(text)
+        except ValueError:
+            pass  # the text itself fails the rule below
+        setting = SETTINGS["risk_free_rate"]
+        if not setting.accepts(risk_free):
+            raise ConfigError([f"{ENV_RISK_FREE}: {setting.text}, got {text!r}"])
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     output_dir = getattr(args, "out", None) or os.environ.get(ENV_OUTPUT_DIR)

@@ -2,45 +2,77 @@
 
 The config is one JSON document. Validation aggregates every problem into a
 single ConfigError instead of failing fast; unknown keys produce warnings so
-configs stay forward compatible. Every default that gets applied is echoed
-on the parsed result.
+configs stay forward compatible. Each scalar setting's default, accepted values
+and problem text live once, in SETTINGS; every default that gets applied is
+echoed on the parsed result.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import date
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ConfigError
 from .hrp import LinkageMethod
 from .market_data import AlignmentPolicy, PeriodSpec
 
-DEFAULTS: dict[str, Any] = {
-    "risk_free_rate": 0.0,
-    "alignment": "intersection",
-    "hrp.distance": "sqrt_half",
-    "hrp.linkage": "ward",
-    "eigen.standardize": True,
-    "eigen.variance_threshold": 0.8,
-    "output_dir": "out",
-}
 
-_TOP_LEVEL_KEYS = {
-    "sectors",
-    "train",
-    "test",
-    "risk_free_rate",
-    "alignment",
-    "hrp",
-    "eigen",
-    "output_dir",
+class Setting(NamedTuple):
+    """A scalar setting's default, its value test, and the problem text for a failing value."""
+
+    default: Any
+    accepts: Callable[[Any], bool]
+    text: str
+
+
+def _number(low: float, high: float) -> Callable[[Any], bool]:
+    # a json number, not a bool, in [low, high]; comparing an int with a float never
+    # overflows (float() of a 400-digit int does), and NaN fails both bounds
+    return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and low <= v <= high
+
+
+def _one_of(*choices: str) -> Callable[[Any], bool]:
+    return lambda v: v in choices
+
+
+SETTINGS: dict[str, Setting] = {
+    "risk_free_rate": Setting(
+        0.0, _number(-sys.float_info.max, sys.float_info.max), "must be a finite number"
+    ),
+    "alignment": Setting(
+        "intersection", _one_of("intersection", "forward_fill"),
+        "must be 'intersection' or 'forward_fill'",
+    ),
+    # 'euclidean_returns' is a deprecated alias, accepted with a warning
+    "hrp.distance": Setting(
+        "sqrt_half", _one_of("sqrt_half", "euclidean_returns"), "must be 'sqrt_half'"
+    ),
+    "hrp.linkage": Setting(
+        "ward", _one_of("ward", "single", "complete", "average"),
+        "must be one of ward, single, complete, average",
+    ),
+    "eigen.standardize": Setting(True, lambda v: isinstance(v, bool), "must be true or false"),
+    # (0, 1], as no float lies strictly between 0 and math.ulp(0.0)
+    "eigen.variance_threshold": Setting(
+        0.8, _number(math.ulp(0.0), 1.0), "must be a number in (0, 1]"
+    ),
+    "output_dir": Setting(
+        "out", lambda v: isinstance(v, str) and v != "", "must be a non-empty string"
+    ),
 }
-_SECTOR_KEYS = {"name", "data", "tickers", "format"}
+_TOP_LEVEL = ("sectors", "train", "test", *(key.partition(".")[0] for key in SETTINGS))
+
+
+def _warn_unknown(obj: dict[str, Any], known: Iterable[str], where: str, warnings: list[str]) -> None:
+    prefix = f"{where}: " if where else ""
+    warnings.extend(f"{prefix}unknown key {key!r} ignored" for key in obj if key not in known)
 
 
 @dataclass(frozen=True)
@@ -70,12 +102,7 @@ class ExperimentConfig:
     def as_dict(self) -> dict[str, Any]:
         return {
             "sectors": [
-                {
-                    "name": s.name,
-                    "data": s.data,
-                    "tickers": list(s.tickers),
-                    "format": s.input_format,
-                }
+                {"name": s.name, "data": s.data, "tickers": list(s.tickers), "format": s.input_format}
                 for s in self.sectors
             ],
             "train": {"start": self.train.start.isoformat(), "end": self.train.end.isoformat()},
@@ -83,32 +110,23 @@ class ExperimentConfig:
             "risk_free_rate": self.risk_free_rate,
             "alignment": self.alignment,
             "hrp": {"distance": "sqrt_half", "linkage": self.linkage_method},
-            "eigen": {
-                "standardize": self.standardize,
-                "variance_threshold": self.variance_threshold,
-            },
+            "eigen": {"standardize": self.standardize, "variance_threshold": self.variance_threshold},
             "output_dir": self.output_dir,
             "applied_defaults": list(self.applied_defaults),
             "warnings": list(self.warnings),
         }
 
 
-def _parse_period(
-    raw: Any, label: str, problems: list[str]
-) -> PeriodSpec | None:
+def _parse_period(raw: Any, label: str, problems: list[str]) -> PeriodSpec | None:
     if not isinstance(raw, dict) or "start" not in raw or "end" not in raw:
         problems.append(f"{label}: expected an object with 'start' and 'end'")
         return None
     try:
-        start = date.fromisoformat(str(raw["start"]))
-        end = date.fromisoformat(str(raw["end"]))
+        start, end = (date.fromisoformat(str(raw[key])) for key in ("start", "end"))
+        return PeriodSpec(label=label, start=start, end=end)  # type: ignore[arg-type]
     except ValueError as bad:
         problems.append(f"{label}: {bad}")
         return None
-    if start > end:
-        problems.append(f"{label}: start {start} is after end {end}")
-        return None
-    return PeriodSpec(label=label, start=start, end=end)  # type: ignore[arg-type]
 
 
 def _parse_sector(raw: Any, position: int, problems: list[str], warnings: list[str]) -> SectorConfig | None:
@@ -116,61 +134,43 @@ def _parse_sector(raw: Any, position: int, problems: list[str], warnings: list[s
     if not isinstance(raw, dict):
         problems.append(f"{where}: expected an object")
         return None
-    for key in raw:
-        if key not in _SECTOR_KEYS:
-            warnings.append(f"{where}: unknown key {key!r} ignored")
-    name = raw.get("name")
-    data = raw.get("data")
+    _warn_unknown(raw, ("name", "data", "tickers", "format"), where, warnings)
+    name, data, tickers = raw.get("name"), raw.get("data"), raw.get("tickers")
+    input_format = raw.get("format", "per_ticker")
     if not name or not isinstance(name, str):
         problems.append(f"{where}.name: required string")
         return None
-    if not data or not isinstance(data, str):
-        problems.append(f"{where} ({name}).data: required string path")
-        return None
-    input_format = raw.get("format", "per_ticker")
-    if input_format not in ("per_ticker", "wide"):
-        problems.append(f"{where} ({name}).format: must be 'per_ticker' or 'wide'")
-        return None
-    tickers = raw.get("tickers")
-    if tickers is None:
-        if input_format == "per_ticker":
-            problems.append(f"{where} ({name}).tickers: required for per_ticker format")
-            return None
+    if tickers is None and input_format == "wide":
         tickers = []
-    if not isinstance(tickers, list) or not all(isinstance(t, str) and t for t in tickers):
-        problems.append(f"{where} ({name}).tickers: must be a list of ticker strings")
-        return None
-    if tickers and len(tickers) < 2:
-        problems.append(f"{where} ({name}).tickers: a sector needs at least 2 tickers")
-        return None
-    if len(set(tickers)) != len(tickers):
-        problems.append(f"{where} ({name}).tickers: duplicates present")
-        return None
-    return SectorConfig(name=name, data=data, tickers=tuple(tickers), input_format=input_format)
+    # the name is the sector's directory under output_dir
+    if name in (".", "..") or "/" in name or "\\" in name:
+        problem = "name: must be one path component: not '.' or '..', no '/' or '\\'"
+    elif not data or not isinstance(data, str):
+        problem = "data: required string path"
+    elif input_format not in ("per_ticker", "wide"):
+        problem = "format: must be 'per_ticker' or 'wide'"
+    elif tickers is None:
+        problem = "tickers: required for per_ticker format"
+    elif not isinstance(tickers, list) or not all(isinstance(t, str) and t for t in tickers):
+        problem = "tickers: must be a list of ticker strings"
+    elif len(tickers) == 1:
+        problem = "tickers: a sector needs at least 2 tickers"
+    elif len(set(tickers)) != len(tickers):
+        problem = "tickers: duplicates present"
+    else:
+        return SectorConfig(name=name, data=data, tickers=tuple(tickers), input_format=input_format)
+    problems.append(f"{where} ({name}).{problem}")
+    return None
 
 
 def validate_config(raw: dict[str, Any]) -> ExperimentConfig:
-    """Check all invariants, fill defaults, and return the resolved config.
-
-    Raises ConfigError carrying the full list of problems found.
-    """
+    """Check every rule and fill defaults; raise ConfigError listing all problems found."""
     problems: list[str] = []
     warnings: list[str] = []
     applied: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
-
-    for key in raw:
-        if key not in _TOP_LEVEL_KEYS:
-            warnings.append(f"unknown key {key!r} ignored")
-
-    def pick(key: str, section: dict[str, Any] | None = None) -> Any:
-        source = raw if section is None else section
-        short = key.split(".")[-1]
-        if short in source:
-            return source[short]
-        applied.append(key)
-        return DEFAULTS[key]
+    _warn_unknown(raw, _TOP_LEVEL, "", warnings)
 
     sectors_raw = raw.get("sectors")
     sectors: list[SectorConfig] = []
@@ -190,60 +190,28 @@ def validate_config(raw: dict[str, Any]) -> ExperimentConfig:
     if train is not None and test is not None and train.overlaps(test):
         problems.append("train and test periods overlap")
 
-    risk_free = pick("risk_free_rate")
-    # a bound, not math.isfinite, which raises on json integers beyond float range; NaN fails it too
-    finite = isinstance(risk_free, (int, float)) and abs(risk_free) <= sys.float_info.max
-    if not finite or isinstance(risk_free, bool):
-        problems.append("risk_free_rate: must be a finite number")
-        risk_free = 0.0
-
-    alignment = pick("alignment")
-    if alignment not in ("intersection", "forward_fill"):
-        problems.append("alignment: must be 'intersection' or 'forward_fill'")
-
-    hrp_section = raw.get("hrp", {})
-    if not isinstance(hrp_section, dict):
-        problems.append("hrp: expected an object")
-        hrp_section = {}
-    for key in hrp_section:
-        if key not in ("distance", "linkage"):
-            warnings.append(f"hrp: unknown key {key!r} ignored")
-    distance = pick("hrp.distance", hrp_section)
-    if distance == "euclidean_returns":
+    sections: dict[str, dict[str, Any]] = {"": raw}
+    values: dict[str, Any] = {}
+    for key, setting in SETTINGS.items():
+        name, _, short = key.rpartition(".")
+        if name not in sections:
+            sections[name] = raw.get(name, {})
+            if not isinstance(sections[name], dict):
+                problems.append(f"{name}: expected an object")
+                sections[name] = {}
+            known = [k.rpartition(".")[2] for k in SETTINGS if k.startswith(f"{name}.")]
+            _warn_unknown(sections[name], known, name, warnings)
+        if short not in sections[name]:
+            applied.append(key)
+        values[key] = sections[name].get(short, setting.default)
+        if not setting.accepts(values[key]):
+            problems.append(f"{key}: {setting.text}")
+            values[key] = setting.default
+    if values["hrp.distance"] == "euclidean_returns":
         warnings.append(
             "hrp.distance: 'euclidean_returns' is deprecated; it orders and weights assets "
             "exactly like 'sqrt_half', which is used instead"
         )
-    elif distance != "sqrt_half":
-        problems.append("hrp.distance: must be 'sqrt_half'")
-    linkage = pick("hrp.linkage", hrp_section)
-    if linkage not in ("ward", "single", "complete", "average"):
-        problems.append("hrp.linkage: must be one of ward, single, complete, average")
-
-    eigen_section = raw.get("eigen", {})
-    if not isinstance(eigen_section, dict):
-        problems.append("eigen: expected an object")
-        eigen_section = {}
-    for key in eigen_section:
-        if key not in ("standardize", "variance_threshold"):
-            warnings.append(f"eigen: unknown key {key!r} ignored")
-    standardize = pick("eigen.standardize", eigen_section)
-    if not isinstance(standardize, bool):
-        problems.append("eigen.standardize: must be true or false")
-        standardize = True
-    threshold = pick("eigen.variance_threshold", eigen_section)
-    if (
-        not isinstance(threshold, (int, float))
-        or isinstance(threshold, bool)
-        or not 0.0 < float(threshold) <= 1.0
-    ):
-        problems.append(f"eigen.variance_threshold: must be in (0, 1], got {threshold!r}")
-        threshold = 0.8
-
-    output_dir = pick("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
-        problems.append("output_dir: must be a non-empty string")
-        output_dir = "out"
 
     if problems:
         raise ConfigError(problems)
@@ -252,12 +220,12 @@ def validate_config(raw: dict[str, Any]) -> ExperimentConfig:
         sectors=tuple(sectors),
         train=train,
         test=test,
-        risk_free_rate=float(risk_free),
-        alignment=alignment,
-        linkage_method=linkage,
-        standardize=standardize,
-        variance_threshold=float(threshold),
-        output_dir=output_dir,
+        risk_free_rate=float(values["risk_free_rate"]),
+        alignment=values["alignment"],
+        linkage_method=values["hrp.linkage"],
+        standardize=values["eigen.standardize"],
+        variance_threshold=float(values["eigen.variance_threshold"]),
+        output_dir=values["output_dir"],
         applied_defaults=tuple(applied),
         warnings=tuple(warnings),
     )
@@ -270,7 +238,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as bad:
         raise ConfigError([f"cannot read config {path}: {bad}"]) from bad
-    except json.JSONDecodeError as bad:
+    except ValueError as bad:  # JSONDecodeError, undecodable bytes, integers over 4,300 digits
         raise ConfigError([f"config {path} is not valid JSON: {bad}"]) from bad
     return validate_config(raw)
 

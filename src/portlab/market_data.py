@@ -140,7 +140,7 @@ class PeriodSpec:
         if self.label not in ("train", "test"):
             raise ValueError(f"period label must be 'train' or 'test', got {self.label!r}")
         if self.start > self.end:
-            raise ValueError(f"{self.label}: start {self.start} after end {self.end}")
+            raise ValueError(f"start {self.start} is after end {self.end}")
 
     def overlaps(self, other: "PeriodSpec") -> bool:
         return self.start <= other.end and other.start <= self.end

@@ -23,9 +23,12 @@ VARIANCE_FLOOR = 1e-16  # in return^2 units; below it an asset is rejected
 
 def _square_matrix(instance: Any, kind: str) -> np.ndarray:
     """Freeze ``instance.values`` and check the rules every matrix type shares:
-    one row and column per ticker, finite entries, symmetric within 1e-12."""
+    at least one ticker, one row and column per ticker, finite entries,
+    symmetric within 1e-12."""
     values = _frozen(instance, "values")
     n = len(instance.tickers)
+    if n == 0:
+        raise ValueError(f"{kind} needs at least one ticker")
     if values.shape != (n, n):
         raise ValueError(f"{kind} shape {values.shape} does not match {n} tickers")
     if not np.isfinite(values).all():

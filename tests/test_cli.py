@@ -1,11 +1,16 @@
+import copy
 import json
+import math
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import portlab.cli
-from portlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main, run_experiment
-from portlab.config import load_config, load_sector_constituents, validate_config
+from portlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, config_hash, main, run_experiment
+from portlab.config import SETTINGS, load_config, load_sector_constituents, validate_config
 from portlab.errors import ConfigError
 from portlab.synthetic import synthetic_panel, weekday_range, write_fixture
 
@@ -78,6 +83,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(raw)
 
+    @pytest.mark.parametrize("name", [".", "..", "../escape", "/tmp/x", "a/b", "a\\b"])
+    def test_sector_name_is_one_path_component(self, name):
+        raw = dict(MINIMAL, sectors=[{"name": name, "data": "d", "tickers": ["A", "B"]}])
+        with pytest.raises(ConfigError) as caught:
+            validate_config(raw)
+        assert len(caught.value.problems) == 1
+        assert caught.value.problems[0].startswith(f"sectors[0] ({name}).name: ")
+
     def test_euclidean_distance_is_deprecated_alias(self, tmp_path):
         write_fixture(tmp_path, n_sectors=1, tickers_per_sector=6, seed=11)
         raw = json.loads((tmp_path / "config.json").read_text())
@@ -99,6 +112,70 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as caught:
             validate_config(raw)
         assert any(p.startswith("hrp.distance") for p in caught.value.problems)
+
+
+# the JSON type each setting takes; a value of any other type must be rejected
+SETTING_KINDS = {
+    "risk_free_rate": "number",
+    "alignment": "choice",
+    "hrp.distance": "choice",
+    "hrp.linkage": "choice",
+    "eigen.standardize": "bool",
+    "eigen.variance_threshold": "number",
+    "output_dir": "string",
+}
+
+
+def with_setting(raw, key, value):
+    raw = copy.deepcopy(raw)
+    section, _, short = key.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[short] = value
+    return raw
+
+
+def wrong_values(kind):
+    always = [st.none(), st.lists(st.integers(), max_size=2), st.just(math.nan), st.just(10**400)]
+    if kind == "number":
+        return st.one_of(*always, st.text(), st.booleans(), st.just(-(10**400)))
+    if kind == "bool":
+        return st.one_of(*always, st.text(), st.integers(), st.floats())
+    return st.one_of(*always, st.booleans(), st.integers(), st.floats())
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    def test_missing_setting_takes_its_default(self, key):
+        raw = copy.deepcopy(MINIMAL)
+        for other, setting in SETTINGS.items():
+            if other != key:
+                raw = with_setting(raw, other, setting.default)
+        config = validate_config(raw)
+        assert config.applied_defaults == (key,)
+        section, _, short = key.rpartition(".")
+        resolved = config.as_dict()
+        assert (resolved[section] if section else resolved)[short] == SETTINGS[key].default
+
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    @given(data=st.data())
+    def test_wrong_typed_value_is_one_problem(self, key, data):
+        value = data.draw(wrong_values(SETTING_KINDS[key]))
+        with pytest.raises(ConfigError) as caught:
+            validate_config(with_setting(MINIMAL, key, value))
+        assert len(caught.value.problems) == 1
+        assert caught.value.problems[0].startswith(f"{key}: ")
+
+    def test_config_hash_pinned(self):
+        assert config_hash(validate_config(MINIMAL)) == "8c1cb06d2f141dc1"
+
+    def test_readme_example_is_complete_and_valid(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        example = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+        config = validate_config(json.loads(example))
+        assert config.warnings == () and config.applied_defaults == ()
+        for key, setting in SETTINGS.items():
+            documented = [line for line in section.splitlines() if line.startswith(f"- `{key}`")]
+            assert len(documented) == 1 and f"`{json.dumps(setting.default)}`" in documented[0]
 
 
 class TestSectorConstituents:
@@ -401,6 +478,35 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert "risk_free_rate: must be a finite number" in captured.err
         assert captured.out == ""
+
+    def test_threshold_beyond_float_range_exit_two(self, fixture_config, capsys):
+        huge = "1" + "0" * 400
+        text = fixture_config.read_text().replace('"variance_threshold": 0.8', f'"variance_threshold": {huge}')
+        assert huge in text
+        fixture_config.write_text(text)
+        assert main(["validate", "--config", str(fixture_config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "eigen.variance_threshold: must be a number in (0, 1]" in captured.err
+        assert captured.out == ""
+
+    def test_sector_name_escaping_output_dir_exit_two(self, fixture_config, tmp_path, capsys):
+        raw = json.loads(fixture_config.read_text())
+        raw["sectors"][0]["name"] = "../escape"
+        fixture_config.write_text(json.dumps(raw))
+        out = tmp_path / "nested" / "out"
+        assert main(["build", "--config", str(fixture_config), "--out", str(out)]) == EXIT_CONFIG
+        assert "sectors[0] (../escape).name" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    # reading or decoding these raises a ValueError that is not a JSONDecodeError
+    @pytest.mark.parametrize(
+        "content", [b"1" * 5000, b'{"output_dir": "\xff"}'], ids=["long-integer", "not-utf8"]
+    )
+    def test_undecodable_config_exit_two(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert "is not valid JSON" in capsys.readouterr().err
 
 
 class TestWideFormatConfig:

@@ -109,16 +109,19 @@ SQUARE_TYPES = [
         pytest.param("nan", "{kind} contains non-finite values", id="nan"),
         pytest.param("inf", "{kind} contains non-finite values", id="inf"),
         pytest.param("asymmetric", "{kind} not symmetric within 1e-12", id="asymmetric"),
+        pytest.param("empty", "{kind} needs at least one ticker", id="empty"),
     ],
 )
 def test_square_matrix_rules(matrix_type, kind, valid, defect, message):
-    values = valid.copy()
-    if defect == "shape":
+    tickers, values = TICKERS, valid.copy()
+    if defect == "empty":
+        tickers, values = (), np.zeros((0, 0))
+    elif defect == "shape":
         values = values[:, :2]
     elif defect == "asymmetric":
         values[0, 1] += 1e-9
     else:
         values[0, 1] = values[1, 0] = float(defect)
     with pytest.raises(ValueError) as caught:
-        matrix_type(TICKERS, values)
+        matrix_type(tickers, values)
     assert str(caught.value) == message.format(kind=kind)

@@ -15,7 +15,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import TickerMismatch
-from .market_data import PricePanel, _frozen
+from .market_data import PricePanel, _csv_text, _frozen
 from .portfolio import PortfolioWeights
 from .returns_stats import (
     TRADING_DAYS_PER_YEAR,
@@ -50,9 +50,7 @@ class ReturnSeries:
             raise ValueError("series values contain non-finite values")
 
     def to_csv(self) -> str:
-        lines = ["date,return"]
-        lines.extend(f"{day.isoformat()},{float(v)!r}" for day, v in zip(self.dates, self.values))
-        return "\n".join(lines) + "\n"
+        return _csv_text(("date", "return"), zip(self.dates, self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -208,15 +206,12 @@ def report_from_json(text: str) -> BacktestReport:
 
 def report_to_csv(report: BacktestReport) -> str:
     """Flat ``sector,method,period,annual_volatility,sharpe_ratio`` rows."""
-    lines = ["sector,method,period,annual_volatility,sharpe_ratio"]
-    for method, cells in sorted(report.methods.items()):
-        for period in sorted(cells):
-            cell = cells[period]
-            lines.append(
-                f"{report.sector},{method},{period},"
-                f"{cell.annual_volatility!r},{cell.sharpe_ratio!r}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = [
+        (report.sector, method, period, float(cell.annual_volatility), float(cell.sharpe_ratio))
+        for method, cells in sorted(report.methods.items())
+        for period, cell in sorted(cells.items())
+    ]
+    return _csv_text(("sector", "method", "period", "annual_volatility", "sharpe_ratio"), rows)
 
 
 def summary_to_json(summary: ComparisonSummary) -> str:
@@ -225,10 +220,8 @@ def summary_to_json(summary: ComparisonSummary) -> str:
 
 
 def summary_to_csv(summary: ComparisonSummary) -> str:
-    lines = ["sector,winner_train,winner_test"]
-    for sector, winner in summary.winners.items():
-        lines.append(f"{sector},{winner['train']},{winner['test']}")
-    return "\n".join(lines) + "\n"
+    rows = [(sector, winner["train"], winner["test"]) for sector, winner in summary.winners.items()]
+    return _csv_text(("sector", "winner_train", "winner_test"), rows)
 
 
 def format_report_table(report: BacktestReport) -> str:

@@ -29,7 +29,7 @@ from .config import SETTINGS, ExperimentConfig, SectorConfig, load_config
 from .eigen import fit_pca, min_components_for_variance, select_best_eigen
 from .errors import ConfigError, PortlabError
 from .hrp import HrpResult, build_hrp_portfolio, dendrogram_dict
-from .market_data import PricePanel, align_panel, load_price_csv, parse_wide_csv, slice_period
+from .market_data import PricePanel, _csv_text, align_panel, load_price_csv, parse_wide_csv, slice_period
 from .portfolio import PortfolioWeights, weights_from_csv
 from .returns_stats import correlation, daily_returns, sample_covariance
 
@@ -111,25 +111,13 @@ def _build_sector_portfolios(
             train_returns.n_obs,
             len(train_returns.tickers),
         )
-    hrp_result = build_hrp_portfolio(
-        cov, corr, built_on=train_returns.dates[-1], linkage_method=config.linkage_method
-    )
+    hrp_result = build_hrp_portfolio(cov, corr, linkage_method=config.linkage_method)
     model = fit_pca(corr if config.standardize else cov)
     k_max = min_components_for_variance(model, config.variance_threshold)
     eigen_weights, candidates = select_best_eigen(
         train_returns, model, k_max, config.risk_free_rate
     )
     return hrp_result, eigen_weights, candidates
-
-
-def _candidate_csv(candidates: list, tickers: tuple[str, ...]) -> str:
-    header = ["component_index", "in_sample_sharpe"] + list(tickers)
-    lines = [",".join(header)]
-    for candidate in candidates:
-        cells = [str(candidate.component_index), repr(float(candidate.in_sample_sharpe))]
-        cells.extend(repr(float(w)) for w in candidate.weights)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _write_build_artifacts(
@@ -148,18 +136,17 @@ def _write_build_artifacts(
         json.dumps(dendrogram_dict(hrp_result.tree, tickers), indent=2, sort_keys=True) + "\n",
     )
     seriated = hrp_result.order.tickers(tickers)
+    _atomic_write(sector_dir / "seriation.csv", _csv_text(("position", "ticker"), enumerate(seriated)))
+    rows = ([c.component_index, float(c.in_sample_sharpe), *c.weights.tolist()] for c in candidates)
     _atomic_write(
-        sector_dir / "seriation.csv",
-        "position,ticker\n" + "\n".join(f"{i},{t}" for i, t in enumerate(seriated)) + "\n",
+        sector_dir / "eigen_candidates.csv",
+        _csv_text(("component_index", "in_sample_sharpe", *tickers), rows),
     )
-    _atomic_write(sector_dir / "eigen_candidates.csv", _candidate_csv(candidates, tickers))
 
 
-def _load_weights(sector_dir: Path, config: ExperimentConfig) -> dict[str, PortfolioWeights]:
+def _load_weights(sector_dir: Path) -> dict[str, PortfolioWeights]:
     return {
-        method: weights_from_csv(
-            (sector_dir / name).read_text(encoding="utf-8"), method, config.train.end
-        )
+        method: weights_from_csv((sector_dir / name).read_text(encoding="utf-8"), method)
         for method, name in (("HRP", "weights_hrp.csv"), ("EIGEN", "weights_eigen.csv"))
     }
 
@@ -198,7 +185,7 @@ def _run_one_sector(
             weights = {"HRP": hrp_result.weights, "EIGEN": eigen_weights}
         else:
             stage = "load_weights"
-            weights = _load_weights(weights_dir / sector.name, config)
+            weights = _load_weights(weights_dir / sector.name)
         if not evaluate:
             return SectorResult(sector=sector.name)
         stage = "backtest"

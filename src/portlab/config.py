@@ -50,10 +50,7 @@ SETTINGS: dict[str, Setting] = {
         "intersection", _one_of("intersection", "forward_fill"),
         "must be 'intersection' or 'forward_fill'",
     ),
-    # 'euclidean_returns' is a deprecated alias, accepted with a warning
-    "hrp.distance": Setting(
-        "sqrt_half", _one_of("sqrt_half", "euclidean_returns"), "must be 'sqrt_half'"
-    ),
+    "hrp.distance": Setting("sqrt_half", _one_of("sqrt_half"), "must be 'sqrt_half'"),
     "hrp.linkage": Setting(
         "ward", _one_of("ward", "single", "complete", "average"),
         "must be one of ward, single, complete, average",
@@ -153,7 +150,7 @@ def _parse_sector(raw: Any, position: int, problems: list[str], warnings: list[s
         problem = "tickers: required for per_ticker format"
     elif not isinstance(tickers, list) or not all(isinstance(t, str) and t for t in tickers):
         problem = "tickers: must be a list of ticker strings"
-    elif len(tickers) == 1:
+    elif len(tickers) == 1 or (not tickers and input_format == "per_ticker"):
         problem = "tickers: a sector needs at least 2 tickers"
     elif len(set(tickers)) != len(tickers):
         problem = "tickers: duplicates present"
@@ -207,11 +204,6 @@ def validate_config(raw: dict[str, Any]) -> ExperimentConfig:
         if not setting.accepts(values[key]):
             problems.append(f"{key}: {setting.text}")
             values[key] = setting.default
-    if values["hrp.distance"] == "euclidean_returns":
-        warnings.append(
-            "hrp.distance: 'euclidean_returns' is deprecated; it orders and weights assets "
-            "exactly like 'sqrt_half', which is used instead"
-        )
 
     if problems:
         raise ConfigError(problems)

@@ -173,7 +173,6 @@ def select_best_eigen(
         tickers=returns.tickers,
         weights=best.weights,
         method="EIGEN",
-        built_on=returns.dates[-1],
         metadata={
             "component_index": best.component_index,
             "candidate_sharpe": best.in_sample_sharpe,

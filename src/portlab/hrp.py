@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from datetime import date
 from typing import Any, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -26,8 +25,6 @@ from .portfolio import PortfolioWeights
 from .returns_stats import VARIANCE_FLOOR, CorrelationMatrix, CovarianceMatrix, _square_matrix
 
 LinkageMethod = Literal["ward", "single", "complete", "average"]
-
-UNDATED = date(1970, 1, 1)  # built_on placeholder for matrix-level calls
 
 
 @dataclass(frozen=True)
@@ -216,7 +213,6 @@ def cluster_variance(cov: CovarianceMatrix, subset: Sequence[int]) -> float:
 def recursive_bisection(
     cov: CovarianceMatrix,
     order: SeriationOrder,
-    built_on: date = UNDATED,
     extra_metadata: dict[str, Any] | None = None,
 ) -> PortfolioWeights:
     """Top-down inverse-variance capital split along the seriation order.
@@ -257,13 +253,7 @@ def recursive_bisection(
         raise ValueError(f"bisection weights sum to {total_weight!r}")
     metadata: dict[str, Any] = {"degenerate_splits": degenerate_splits}
     metadata.update(extra_metadata or {})
-    return PortfolioWeights(
-        tickers=cov.tickers,
-        weights=weights,
-        method="HRP",
-        built_on=built_on,
-        metadata=metadata,
-    )
+    return PortfolioWeights(tickers=cov.tickers, weights=weights, method="HRP", metadata=metadata)
 
 
 class HrpResult(NamedTuple):
@@ -275,7 +265,6 @@ class HrpResult(NamedTuple):
 def build_hrp_portfolio(
     cov: CovarianceMatrix,
     corr: CorrelationMatrix,
-    built_on: date = UNDATED,
     linkage_method: LinkageMethod = "ward",
 ) -> HrpResult:
     """Run the full pipeline on training statistics, keeping the intermediates.
@@ -288,10 +277,7 @@ def build_hrp_portfolio(
     tree = ward_linkage(correlation_distance(corr), method=linkage_method)
     order = quasi_diagonalize(tree)
     weights = recursive_bisection(
-        cov,
-        order,
-        built_on=built_on,
-        extra_metadata={"distance": "sqrt_half", "linkage": linkage_method},
+        cov, order, extra_metadata={"distance": "sqrt_half", "linkage": linkage_method}
     )
     return HrpResult(weights=weights, tree=tree, order=order)
 

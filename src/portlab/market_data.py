@@ -38,11 +38,30 @@ PeriodLabel = Literal["train", "test"]
 
 def _frozen(instance: object, name: str, dtype: type | str = float) -> np.ndarray:
     """Cast the frozen dataclass field ``name`` to a read-only ``dtype`` array,
-    store it back on ``instance`` and return it."""
-    values = np.asarray(getattr(instance, name), dtype=dtype)
+    store it back on ``instance`` and return it.
+
+    The value type takes ownership of the array it is given: an array that
+    already has ``dtype`` is frozen in place, not copied, so the caller's own
+    array turns read-only, even when the constructor then rejects it.
+    """
+    given = getattr(instance, name)
+    values = np.asarray(given, dtype=dtype)
+    if values.base is given and values.dtype == given.dtype:  # a view, as numpy gives for datetime64
+        values = given
     values.flags.writeable = False
     object.__setattr__(instance, name, values)
     return values
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """``header`` and ``rows`` as CSV text, one line feed after each row. A field
+    holding a comma, a double quote or a line feed is quoted; floats keep their
+    shortest repr."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _as_days(days: Sequence[date]) -> np.ndarray:
@@ -87,9 +106,7 @@ class PriceSeries:
 
     def to_csv(self) -> str:
         """Serialize back to ``Date,Close`` text; floats keep full precision."""
-        lines = ["Date,Close"]
-        lines.extend(f"{day.isoformat()},{close!r}" for day, close in self.observations)
-        return "\n".join(lines) + "\n"
+        return _csv_text(("Date", "Close"), self.observations)
 
 
 @dataclass(frozen=True)

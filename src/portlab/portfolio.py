@@ -5,12 +5,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from datetime import date
-from typing import IO, Any, Literal
+from typing import Any, Literal
 
 import numpy as np
 
-from .market_data import _frozen
+from .market_data import _csv_text, _frozen
 
 Method = Literal["HRP", "EIGEN"]
 
@@ -29,7 +28,6 @@ class PortfolioWeights:
     tickers: tuple[str, ...]
     weights: np.ndarray = field(repr=False)
     method: Method
-    built_on: date
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -51,19 +49,11 @@ class PortfolioWeights:
 
     def to_csv(self) -> str:
         """``ticker,weight`` rows; weights keep full round-trip precision."""
-        lines = ["ticker,weight"]
-        lines.extend(f"{ticker},{float(w)!r}" for ticker, w in zip(self.tickers, self.weights))
-        return "\n".join(lines) + "\n"
+        return _csv_text(("ticker", "weight"), zip(self.tickers, self.weights.tolist()))
 
 
-def weights_from_csv(
-    source: IO[str] | str,
-    method: Method,
-    built_on: date,
-    metadata: dict[str, Any] | None = None,
-) -> PortfolioWeights:
-    """Rebuild PortfolioWeights from a ``ticker,weight`` CSV."""
-    text = source if isinstance(source, str) else source.read()
+def weights_from_csv(text: str, method: Method) -> PortfolioWeights:
+    """Rebuild PortfolioWeights from ``ticker,weight`` CSV text."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
@@ -84,10 +74,4 @@ def weights_from_csv(
         except ValueError:
             raise ValueError(f"weights CSV row {row_number}: weight {row[1]!r} is not a number") from None
         tickers.append(row[0].strip())
-    return PortfolioWeights(
-        tickers=tuple(tickers),
-        weights=np.array(values, dtype=float),
-        method=method,
-        built_on=built_on,
-        metadata=dict(metadata or {}),
-    )
+    return PortfolioWeights(tickers=tuple(tickers), weights=np.array(values, dtype=float), method=method)

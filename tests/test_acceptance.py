@@ -246,7 +246,6 @@ def test_no_look_ahead():
         hrp = build_hrp_portfolio(
             sample_covariance(train_returns),
             correlation(sample_covariance(train_returns)),
-            built_on=train_returns.dates[-1],
         ).weights
         model = fit_pca(correlation(sample_covariance(train_returns)))
         eigen, _ = select_best_eigen(

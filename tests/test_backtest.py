@@ -3,6 +3,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import PUBLISHED_TABLES, make_panel, panel_from_returns, published_report
 from portlab.backtest import (
@@ -27,7 +29,6 @@ def weights_of(values, tickers, method="HRP"):
         tickers=tuple(tickers),
         weights=np.asarray(values, dtype=float),
         method=method,
-        built_on=date(2020, 12, 31),
     )
 
 
@@ -221,7 +222,28 @@ class TestWeightsCsv:
         weights = weights_of(raw / raw.sum(), tuple(f"T{i}" for i in range(7)))
         from portlab.portfolio import weights_from_csv
 
-        rebuilt = weights_from_csv(weights.to_csv(), "HRP", weights.built_on)
+        rebuilt = weights_from_csv(weights.to_csv(), "HRP")
+        assert rebuilt.tickers == weights.tickers
+        assert np.array_equal(rebuilt.weights, weights.weights)
+
+    # tickers are free text; the reader strips a ticker's surrounding whitespace, and
+    # csv.writer leaves a lone carriage return unquoted, which csv.reader then rejects
+    @given(
+        st.lists(
+            st.text(st.sampled_from(',"\n') | st.characters(exclude_characters="\r"), max_size=6)
+            .filter(lambda t: t == t.strip()),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        ),
+        st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5),
+    )
+    def test_round_trip_quotes_any_ticker(self, tickers, raw):
+        from portlab.portfolio import weights_from_csv
+
+        raw = np.array(raw[: len(tickers)])
+        weights = weights_of(raw / raw.sum(), tickers, method="EIGEN")
+        rebuilt = weights_from_csv(weights.to_csv(), "EIGEN")
         assert rebuilt.tickers == weights.tickers
         assert np.array_equal(rebuilt.weights, weights.weights)
 
@@ -229,13 +251,13 @@ class TestWeightsCsv:
         from portlab.portfolio import weights_from_csv
 
         with pytest.raises(ValueError):
-            weights_from_csv("symbol,value\nA,1.0\n", "HRP", date(2020, 12, 31))
+            weights_from_csv("symbol,value\nA,1.0\n", "HRP")
 
     def test_duplicate_ticker_rejected(self):
         from portlab.portfolio import weights_from_csv
 
         with pytest.raises(ValueError, match="duplicate"):
-            weights_from_csv("ticker,weight\nA,0.5\nA,0.5\n", "EIGEN", date(2020, 12, 31))
+            weights_from_csv("ticker,weight\nA,0.5\nA,0.5\n", "EIGEN")
 
     @pytest.mark.parametrize(
         "row, message",
@@ -250,7 +272,7 @@ class TestWeightsCsv:
         from portlab.portfolio import weights_from_csv
 
         with pytest.raises(ValueError) as caught:
-            weights_from_csv(f"ticker,weight\nA,0.5\n{row}\n", "EIGEN", date(2020, 12, 31))
+            weights_from_csv(f"ticker,weight\nA,0.5\n{row}\n", "EIGEN")
         assert str(caught.value).startswith(message)
 
 
@@ -270,7 +292,7 @@ class TestNoLookAhead:
             r = daily_returns(slice_period(p, train_spec))
             cov = sample_covariance(r)
             corr = correlation(cov)
-            hrp = build_hrp_portfolio(cov, corr, built_on=r.dates[-1]).weights
+            hrp = build_hrp_portfolio(cov, corr).weights
             model = fit_pca(corr)
             eig, _ = select_best_eigen(r, model, min_components_for_variance(model, 0.8))
             return hrp, eig

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 from datetime import date
@@ -68,9 +69,14 @@ class TestValidateConfig:
         assert len(caught.value.problems) >= 3
 
     def test_sector_needs_two_tickers(self):
-        raw = dict(MINIMAL, sectors=[{"name": "solo", "data": "d", "tickers": ["A"]}])
-        with pytest.raises(ConfigError):
-            validate_config(raw)
+        for tickers in (["A"], []):
+            raw = dict(MINIMAL, sectors=[{"name": "solo", "data": "d", "tickers": tickers}])
+            with pytest.raises(ConfigError) as caught:
+                validate_config(raw)
+            assert caught.value.problems == ["sectors[0] (solo).tickers: a sector needs at least 2 tickers"]
+        # a wide sector's empty list means every column of its file
+        wide = dict(MINIMAL, sectors=[{"name": "w", "data": "d", "tickers": [], "format": "wide"}])
+        assert validate_config(wide).sectors[0].tickers == ()
 
     def test_duplicate_sector_names(self):
         raw = dict(
@@ -91,27 +97,11 @@ class TestValidateConfig:
         assert len(caught.value.problems) == 1
         assert caught.value.problems[0].startswith(f"sectors[0] ({name}).name: ")
 
-    def test_euclidean_distance_is_deprecated_alias(self, tmp_path):
-        write_fixture(tmp_path, n_sectors=1, tickers_per_sector=6, seed=11)
-        raw = json.loads((tmp_path / "config.json").read_text())
-        outputs = {}
-        for distance in ("sqrt_half", "euclidean_returns"):
-            raw["hrp"]["distance"] = distance
-            raw["output_dir"] = str(tmp_path / distance)
-            config = validate_config(raw)
-            deprecated = [w for w in config.warnings if "deprecated" in w]
-            assert len(deprecated) == (distance == "euclidean_returns")
-            assert run_experiment(config, evaluate=False)[0] == EXIT_OK
-            outputs[distance] = [
-                (tmp_path / distance / "sector1" / name).read_bytes()
-                for name in ("weights_hrp.csv", "seriation.csv")
-            ]
-        assert outputs["euclidean_returns"] == outputs["sqrt_half"]
-
-        raw["hrp"]["distance"] = "manhattan"
+    @pytest.mark.parametrize("distance", ["euclidean_returns", "manhattan"])
+    def test_distance_other_than_sqrt_half_rejected(self, distance):
         with pytest.raises(ConfigError) as caught:
-            validate_config(raw)
-        assert any(p.startswith("hrp.distance") for p in caught.value.problems)
+            validate_config(dict(MINIMAL, hrp={"distance": distance}))
+        assert caught.value.problems == ["hrp.distance: must be 'sqrt_half'"]
 
 
 # the JSON type each setting takes; a value of any other type must be rejected
@@ -197,6 +187,16 @@ def fixture_config(tmp_path):
 
 def artifact_names(sector_dir):
     return sorted(p.name for p in sector_dir.iterdir())
+
+
+def assert_csv_rows_fit_header(root):
+    """Every CSV under ``root`` parses into data rows as wide as its header."""
+    paths = sorted(root.rglob("*.csv"))
+    assert paths
+    for path in paths:
+        with path.open(newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        assert rows and all(len(row) == len(header) for row in rows), path
 
 
 class TestRunExperiment:
@@ -331,11 +331,11 @@ class TestMainEntry:
 
     def test_run_prints_config_warnings(self, fixture_config, capsys):
         raw = json.loads(fixture_config.read_text())
-        raw["hrp"]["distance"] = "euclidean_returns"
+        raw["hrp"]["plot"] = True
         fixture_config.write_text(json.dumps(raw))
         assert main(["run", "--config", str(fixture_config)]) == EXIT_OK
         warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
-        assert len(warnings) == 1 and "euclidean_returns" in warnings[0] and "deprecated" in warnings[0]
+        assert warnings == ["warning: hrp: unknown key 'plot' ignored"]
 
     def test_partial_failure_exit_one(self, fixture_config, tmp_path, capsys):
         (tmp_path / "data" / "sector2" / "S2A.csv").unlink()
@@ -377,14 +377,43 @@ class TestMainEntry:
 
     def test_run_equals_build_then_backtest(self, fixture_config, tmp_path):
         common = ["--config", str(fixture_config), "--out"]
-        staged = str(tmp_path / "staged")
-        assert main(["run", *common, str(tmp_path / "run")]) == EXIT_OK
-        assert main(["build", *common, staged]) == EXIT_OK
-        assert main(["backtest", *common, staged, "--weights", staged]) == EXIT_OK
+        run, staged = tmp_path / "run", tmp_path / "staged"
+        assert main(["run", *common, str(run)]) == EXIT_OK
+        assert main(["build", *common, str(staged)]) == EXIT_OK
+        assert main(["backtest", *common, str(staged), "--weights", str(staged)]) == EXIT_OK
+        assert (staged / "summary.json").read_bytes() == (run / "summary.json").read_bytes()
         for sector in ("sector1", "sector2"):
-            direct = json.loads((tmp_path / "run" / sector / "report.json").read_text())
-            via_weights = json.loads((tmp_path / "staged" / sector / "report.json").read_text())
+            direct = json.loads((run / sector / "report.json").read_text())
+            via_weights = json.loads((staged / sector / "report.json").read_text())
             assert via_weights["methods"] == direct["methods"]
+            # weights_*.csv holds no build metadata, so only `run` reports these blocks
+            del direct["metadata"]["hrp"], direct["metadata"]["eigen"]
+            assert via_weights == direct
+            returns = sorted(path.name for path in (run / sector).glob("returns_*.csv"))
+            assert len(returns) == 4
+            for name in returns:
+                assert (staged / sector / name).read_bytes() == (run / sector / name).read_bytes()
+        assert_csv_rows_fit_header(run)
+        assert_csv_rows_fit_header(staged)
+
+    def test_comma_in_names_is_quoted(self, tmp_path):
+        tickers = ["A,1", "B", "C", "D"]
+        panel = synthetic_panel(tickers, weekday_range(date(2019, 1, 1), date(2021, 11, 1)), seed=3)
+        for ticker in tickers:
+            (tmp_path / f"{ticker}.csv").write_text(panel.series(ticker).to_csv())
+        raw = copy.deepcopy(MINIMAL)
+        raw["sectors"] = [{"name": "auto,parts", "data": str(tmp_path), "tickers": tickers}]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        common = ["--config", str(config), "--out"]
+        run, staged = tmp_path / "run", tmp_path / "staged"
+        assert main(["run", *common, str(run), "--format", "csv"]) == EXIT_OK
+        assert {"report.csv", "weights_hrp.csv", "eigen_candidates.csv"} <= set(
+            artifact_names(run / "auto,parts")
+        )
+        assert_csv_rows_fit_header(run)
+        assert main(["build", *common, str(staged)]) == EXIT_OK
+        assert main(["backtest", *common, str(staged), "--weights", str(staged)]) == EXIT_OK
 
     def test_backtest_missing_weights_isolated(self, fixture_config, tmp_path, capsys):
         out = tmp_path / "out"

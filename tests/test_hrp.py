@@ -48,9 +48,7 @@ def returns_matrix(values):
 
 def hrp_of(returns, linkage_method="ward"):
     cov = sample_covariance(returns)
-    return build_hrp_portfolio(
-        cov, correlation(cov), built_on=returns.dates[-1], linkage_method=linkage_method
-    )
+    return build_hrp_portfolio(cov, correlation(cov), linkage_method=linkage_method)
 
 
 def distance_from(values, labels=None):
@@ -325,7 +323,6 @@ class TestBuildHrpPortfolio:
         assert (result.weights.weights > 0).all()
         assert abs(result.weights.weights.sum() - 1.0) <= 1e-9
         assert result.weights.method == "HRP"
-        assert result.weights.built_on == returns.dates[-1]
 
     def test_duplicated_column_singular_covariance(self, rng):
         base = rng.normal(0, 0.01, size=(100, 7))

@@ -5,7 +5,7 @@ square-matrix types share one shape, finiteness and symmetry check; and a NaN
 never slips through a tolerance comparison (``nan > tol`` is False).
 """
 
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date
 
 import numpy as np
@@ -33,7 +33,7 @@ VALUE_TYPES = [
     pytest.param(lambda: CorrelationMatrix(TICKERS, EYE), id="CorrelationMatrix"),
     pytest.param(lambda: DistanceMatrix(TICKERS, 1.0 - EYE), id="DistanceMatrix"),
     pytest.param(lambda: PCAModel(TICKERS, np.ones(3), EYE, THIRDS, standardized=True), id="PCAModel"),
-    pytest.param(lambda: PortfolioWeights(TICKERS, THIRDS, "HRP", DAYS[0]), id="PortfolioWeights"),
+    pytest.param(lambda: PortfolioWeights(TICKERS, THIRDS, "HRP"), id="PortfolioWeights"),
     pytest.param(lambda: ReturnSeries(DAYS, np.zeros(3)), id="ReturnSeries"),
 ]
 
@@ -50,6 +50,10 @@ def test_array_fields_are_cast_and_read_only(build):
             values.flat[0] = values.flat[-1]
         with pytest.raises(FrozenInstanceError):
             setattr(instance, name, values.copy())
+    # the value type takes ownership: an array of its dtype is frozen in place, not copied
+    own = {name: values.copy() for name, values in arrays.items()}
+    rebuilt = replace(instance, **own)
+    assert all(getattr(rebuilt, name) is own[name] and not own[name].flags.writeable for name in own)
 
 
 def with_nan(values, index):

@@ -145,10 +145,12 @@ def _write_build_artifacts(
 
 
 def _load_weights(sector_dir: Path) -> dict[str, PortfolioWeights]:
-    return {
-        method: weights_from_csv((sector_dir / name).read_text(encoding="utf-8"), method)
-        for method, name in (("HRP", "weights_hrp.csv"), ("EIGEN", "weights_eigen.csv"))
-    }
+    weights = {}
+    for method, name in (("HRP", "weights_hrp.csv"), ("EIGEN", "weights_eigen.csv")):
+        # newline="": a carriage return inside a quoted ticker stays one
+        with (sector_dir / name).open(encoding="utf-8", newline="") as handle:
+            weights[method] = weights_from_csv(handle.read(), method)
+    return weights
 
 
 def _write_report_artifacts(

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial, reduce
+from operator import methodcaller
 from pathlib import Path
 from typing import IO, Callable, Iterable, Literal, Sequence
 
@@ -55,12 +56,19 @@ def _frozen(instance: object, name: str, dtype: type | str = float) -> np.ndarra
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """``header`` and ``rows`` as CSV text, one line feed after each row. A field
-    holding a comma, a double quote or a line feed is quoted; floats keep their
-    shortest repr."""
+    holding a comma, a double quote or a line feed is quoted, and so is every
+    field of a row holding a carriage return, which csv.writer would leave bare
+    and csv.reader then rejects; floats keep their shortest repr."""
+    rows = [header, *rows]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
     writer.writerows(rows)
+    if "\r" in buffer.getvalue():
+        buffer.seek(0)
+        buffer.truncate()
+        quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            (quote_all if any("\r" in str(cell) for cell in row) else writer).writerow(row)
     return buffer.getvalue()
 
 
@@ -171,21 +179,50 @@ def _parse_close(raw: str) -> float:
         return math.nan
 
 
-def _read_table(
-    source: IO[bytes] | IO[str] | bytes | str,
-    label: str,
-    pick_columns: Callable[[list[str]], tuple[int, list[str], list[int]]],
-) -> list[PriceSeries]:
-    """The row reader behind both parsers: one series per close column.
+ColumnPicker = Callable[[list[str]], tuple[int, list[str], list[int]]]
+Table = tuple[list[str], np.ndarray, Sequence[int], np.ndarray]  # names, dates, line numbers, closes
 
-    ``pick_columns`` maps the stripped header to the date column, the series
-    names and their close columns. A date may appear on one row only. An
-    empty, non-numeric or non-finite close is a missing quote. A csv reader
-    fault, such as a field over the csv module's 131,072-character limit,
-    becomes a MalformedCsv naming the line.
-    """
-    raw = source if isinstance(source, (bytes, str)) else source.read()
-    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
+
+def _read_clean(text: str, pick_columns: ColumnPicker) -> Table | None:
+    """The block split of ``_read_table``, or None when the row loop must read
+    ``text``. Dates and closes go through the functions the row loop calls, so
+    values are bit-identical."""
+    if '"' in text or "\r" in text:
+        return None
+    header_line, *lines = text.split("\n")  # not splitlines(): csv.reader ends rows at "\n" only
+    if lines and not lines[-1]:
+        lines.pop()
+    header = header_line.split(",")
+    n_fields, limit = len(header), csv.field_size_limit()
+    arities = set(map(methodcaller("count", ","), lines))  # per row: a total cell count can balance
+    if not header_line or max(map(len, header)) > limit or arities - {n_fields - 1}:
+        return None
+    date_col, names, close_cols = pick_columns([name.strip() for name in header])
+    dates = np.empty(len(lines), dtype="datetime64[D]")
+    closes = np.empty((len(lines), len(close_cols)))
+    step = max(1, (1 << 16) // n_fields)  # rows per block: bounds the strings alive at one time
+    for start in range(0, len(lines), step):
+        joined = ",".join(lines[start : start + step])
+        # a blank cell between two commas reads as "nan", the NaN _parse_close gives it
+        cells = joined.replace(",,", ",nan,").replace(",,", ",nan,").split(",")
+        block = slice(start, start + len(cells) // n_fields)
+        if max(map(len, cells)) > limit:
+            return None
+        try:
+            dates[block] = _as_days(list(map(date.fromisoformat, cells[date_col::n_fields])))
+        except ValueError:
+            return None
+        for j, col in enumerate(close_cols):
+            column = cells[col::n_fields]
+            try:
+                closes[block, j] = np.fromiter(map(float, column), float, len(column))
+            except ValueError:  # a missing quote other than a blank
+                closes[block, j] = np.fromiter(map(_parse_close, column), float, len(column))
+    return names, dates, range(2, len(lines) + 2), closes
+
+
+def _read_rows(text: str, label: str, pick_columns: ColumnPicker) -> Table:
+    """The row loop of ``_read_table``: reads any text, naming the row or line of its first fault."""
     reader = csv.reader(io.StringIO(text))
     days: list[date] = []
     row_numbers: list[int] = []
@@ -208,15 +245,35 @@ def _read_table(
         raise MalformedCsv(f"{label}: empty file") from None
     except csv.Error as bad:
         raise MalformedCsv(f"{label}: line {reader.line_num}: {bad}") from None
+    return names, _as_days(days), row_numbers, np.array(cells, dtype=float).reshape(len(days), len(close_cols))
 
-    closes = np.array(cells, dtype=float).reshape(len(days), len(close_cols))
+
+def _read_table(
+    source: IO[bytes] | IO[str] | bytes | str, label: str, pick_columns: ColumnPicker
+) -> list[PriceSeries]:
+    """The reader behind both parsers: one series per close column.
+
+    ``pick_columns`` maps the stripped header to the date column, the series
+    names and their close columns. A date may appear on one row only. An
+    empty, non-numeric or non-finite close is a missing quote. A clean table,
+    as ``PriceSeries.to_csv`` and unquoted wide files with blank cells are,
+    is split in blocks of rows by ``_read_clean``. Any ``"`` or ``\\r``, an
+    empty header line, a row of another arity, a blank row, a date
+    ``date.fromisoformat`` rejects unstripped or a field over the csv module's
+    limit sends the text to the row loop of ``_read_rows``, which names the
+    row of an arity or date fault and the line of a csv reader fault.
+    """
+    raw = source if isinstance(source, (bytes, str)) else source.read()
+    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
+    table = _read_clean(text, pick_columns)
+    names, dates, row_numbers, closes = table if table is not None else _read_rows(text, label, pick_columns)
+
     closes[np.isinf(closes)] = np.nan  # before the sign check: -inf is a missing quote too
     nonpositive = np.argwhere(closes <= 0.0)
     if nonpositive.size:
         row, col = nonpositive[0]
-        close, day = closes[row, col].item(), days[row].isoformat()
+        close, day = closes[row, col].item(), dates[row].item().isoformat()
         raise NonPositivePrice(f"{names[col]}: close {close} on {day} (row {row_numbers[row]})")
-    dates = _as_days(days)
     order = np.argsort(dates, kind="stable")
     dates, closes = dates[order], closes[order]
     repeated = np.flatnonzero(dates[1:] == dates[:-1])

@@ -415,6 +415,23 @@ class TestMainEntry:
         assert main(["build", *common, str(staged)]) == EXIT_OK
         assert main(["backtest", *common, str(staged), "--weights", str(staged)]) == EXIT_OK
 
+    def test_carriage_return_in_ticker_round_trips(self, tmp_path):
+        tickers = ["A\r1", "B", "C"]
+        panel = synthetic_panel(tickers, weekday_range(date(2019, 1, 1), date(2021, 11, 1)), seed=3)
+        for ticker in tickers:
+            (tmp_path / f"{ticker}.csv").write_text(panel.series(ticker).to_csv())
+        raw = copy.deepcopy(MINIMAL)
+        raw["sectors"] = [{"name": "auto", "data": str(tmp_path), "tickers": tickers}]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        common = ["--config", str(config), "--out"]
+        run, staged = tmp_path / "run", tmp_path / "staged"
+        assert main(["run", *common, str(run)]) == EXIT_OK
+        assert (run / "auto" / "weights_hrp.csv").read_bytes().split(b"\n")[1].startswith(b'"A\r1","')
+        assert main(["build", *common, str(staged)]) == EXIT_OK
+        assert main(["backtest", *common, str(staged), "--weights", str(staged)]) == EXIT_OK
+        assert (staged / "summary.json").read_bytes() == (run / "summary.json").read_bytes()
+
     def test_backtest_missing_weights_isolated(self, fixture_config, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["build", "--config", str(fixture_config)]) == EXIT_OK

@@ -1,4 +1,6 @@
 from datetime import date
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_panel
+from portlab import market_data
 from portlab.errors import (
     DuplicateDate,
     EmptyIntersection,
@@ -23,6 +26,7 @@ from portlab.market_data import (
     parse_wide_csv,
     slice_period,
 )
+from portlab.synthetic import synthetic_panel, weekday_range
 
 
 def series(ticker, *observations):
@@ -232,6 +236,36 @@ def wide(text, tickers=None):
             MalformedCsv,
             "wide CSV: line 2: field larger than field limit (131072)",
             id="wide-field-over-csv-limit",
+        ),
+        pytest.param(
+            per_ticker("Date,Close\n2021-01-01,5,2021-01-04\n\n"),
+            MalformedCsv,
+            "A: row 2 has 3 fields, header has 2",
+            id="arity-balanced-in-total",
+        ),
+        pytest.param(
+            wide("Date,A,B\n2021-01-01,1\n2021-01-04,2,3,4\n"),
+            MalformedCsv,
+            "wide CSV: row 2 has 2 fields, header has 3",
+            id="wide-arity-balanced-in-total",
+        ),
+        pytest.param(
+            per_ticker("Date,Close\n2021-01-01,5\n2021-01-04," + "9" * 200_000 + "\n"),
+            MalformedCsv,
+            "A: line 3: field larger than field limit (131072)",
+            id="unquoted-field-over-csv-limit",
+        ),
+        pytest.param(
+            wide("Date,A\n2021-01-01," + "9" * 200_000 + "\n"),
+            MalformedCsv,
+            "wide CSV: line 2: field larger than field limit (131072)",
+            id="wide-unquoted-field-over-csv-limit",
+        ),
+        pytest.param(
+            wide("Date," + "A" * 200_000 + "\n2021-01-01,5\n"),
+            MalformedCsv,
+            "wide CSV: line 1: field larger than field limit (131072)",
+            id="wide-header-over-csv-limit",
         ),
         pytest.param(
             wide(TestParseWideCsv.TEXT, ["C"]),
@@ -489,3 +523,95 @@ class TestIngestProperties:
         assert sum(not s.dates.size for s in members) == 1
         with pytest.raises(PortlabError):
             align_panel(members, policy)
+
+
+DAY_ST = st.integers(0, 40).map(lambda d: date.fromordinal(BASE_DAY + d).isoformat())
+BAD_DATES = ["20200102", "2020-01-02T05", " 2020-01-02", "2020-01-02 ", "2020-W01-1", "", "x"]
+ODD_CLOSES = ["1_000", "5#x", "inf", "nan", "", "0", "-1", " 7 ", "8\x00", "9\x85", "\u20281", "1\r2", '"3"']
+# the last row is one row to csv.reader, two to str.splitlines
+ODD_ROWS = ["", " ", ",", ",,", "\x85", '"2021-01-05",5', '2021-01-06,"4"', "2021-01-07,1\x852021-01-08,2"]
+
+
+@st.composite
+def table_texts(draw, headers):
+    """A CSV text of mostly canonical rows with a few of the hazards the block
+    split must decline or read exactly as the row loop does."""
+    header = draw(st.sampled_from(headers))
+    fields = header.split(",")
+    closes = st.one_of(closes_st.map(repr), cells_st, st.sampled_from(ODD_CLOSES))
+
+    def cell(field):
+        if field != "Date":
+            return draw(closes)
+        return draw(st.sampled_from(BAD_DATES) if draw(st.integers(0, 19)) == 0 else DAY_ST)
+
+    def row():
+        cells = [cell(field) for field in fields]
+        hazard = draw(st.sampled_from([None] * 10 + ["odd", "arity"]))
+        if hazard == "odd":  # blank, whitespace-only, comma-only or quoted
+            return draw(st.sampled_from(ODD_ROWS))
+        if hazard == "arity":  # one field too many or too few; two such rows can balance in total
+            return ",".join(cells + ["5"] if draw(st.booleans()) else cells[:-1])
+        return ",".join(cells)
+
+    rows = [row() for _ in range(draw(st.integers(0, 8)))]
+    newline = draw(st.sampled_from(["\n"] * 10 + ["\r\n", "\r"]))
+    text = newline.join([header, *rows]) + (newline if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def outcome(parse):
+    """The parsed series as (ticker, date bits, close bits), or the error's type and text."""
+    try:
+        result = parse()
+    except Exception as error:  # the two readers must fail alike, whatever the error
+        return type(error), str(error)
+    members = result if isinstance(result, list) else [result]
+    return [(s.ticker, s.dates.tobytes(), s.closes.tobytes()) for s in members]
+
+
+class TestBlockSplit:
+    @settings(deadline=None, max_examples=1000)
+    @given(text=table_texts(["Date,Close", "Close,Date", "Date,Open,Close"]))
+    def test_price_csv_matches_row_loop(self, text):
+        parse = partial(parse_price_csv, text, "A")
+        with mock.patch.object(market_data, "_read_clean", return_value=None):
+            expected = outcome(parse)
+        assert outcome(parse) == expected
+
+    @settings(deadline=None, max_examples=1000)
+    @given(
+        text=table_texts(["Date,T0", "Date,T0,T1,T2"]),
+        tickers=st.sampled_from([None, ["T0"], ["T2", "T0"]]),
+    )
+    def test_wide_csv_matches_row_loop(self, text, tickers):
+        parse = partial(parse_wide_csv, text, tickers)
+        with mock.patch.object(market_data, "_read_clean", return_value=None):
+            expected = outcome(parse)
+        assert outcome(parse) == expected
+
+    def test_files_portlab_writes_take_the_block_split(self, monkeypatch):
+        def row_loop(*args):
+            raise AssertionError("the row loop read a clean file")
+
+        monkeypatch.setattr(market_data, "_read_rows", row_loop)
+        tickers = ["A", "B", "C"]
+        panel = synthetic_panel(tickers, weekday_range(date(2020, 1, 1), date(2020, 6, 30)), seed=5)
+        for ticker in tickers:
+            original = panel.series(ticker)
+            parsed = parse_price_csv(original.to_csv(), ticker)
+            assert np.array_equal(parsed.dates, original.dates)
+            assert np.array_equal(parsed.closes, original.closes)
+
+        # the wide layout of the benchmark's universe: repr closes, blank cells, a final line feed
+        cells = [[repr(v) for v in row] for row in panel.closes.tolist()]
+        blanks = [(0, 1), (3, 0), (3, 1), (3, 2), (7, 2), (len(cells) - 1, 2)]
+        for row, col in blanks:
+            cells[row][col] = ""
+        lines = ["Date," + ",".join(tickers)]
+        lines.extend(f"{d.isoformat()},{','.join(r)}" for d, r in zip(panel.dates, cells))
+        members = parse_wide_csv("\n".join(lines) + "\n")
+        for col, parsed in enumerate(members):
+            kept = [row for row in range(len(cells)) if (row, col) not in blanks]
+            assert parsed.dates.tolist() == [panel.dates[row] for row in kept]
+            assert parsed.closes.tolist() == panel.closes[kept, col].tolist()

@@ -124,12 +124,22 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
     which keeps merge heights nondecreasing. ``single``, ``complete`` and
     ``average`` are available behind the same interface.
 
-    The working matrix keeps the active clusters in ascending id order: a
-    merge drops both children's rows and columns and appends the new
-    cluster, whose id n + step is the largest yet. Exactly symmetric (taken
-    from the input's upper triangle) with an infinite diagonal, the matrix
-    has its first row-major minimum above the diagonal, at the tied pair
-    with the smallest (left_id, right_id).
+    The search is the nearest-neighbour-list generic algorithm of Müllner
+    (2011, arXiv:1109.2378, section 3.1). The full matrix, exactly symmetric
+    (taken from the input's upper triangle), is never compacted: a merged
+    cluster takes the lower of its children's slots, the other slot's row and
+    column become infinite, and ``ids`` maps each slot to its cluster id.
+    Every active slot keeps ``mind``/``nn``, its distance to and slot of the
+    nearest active cluster with a larger id, the smallest such id on an exact
+    tie. A merge takes the smallest ``mind`` and, among the slots holding it,
+    the one with the smallest id, which with its ``nn`` is the tied pair with
+    the smallest (left_id, right_id). The merged cluster has the largest id,
+    so afterwards only two kinds of slot change: those whose ``nn`` was a
+    child rescan their row, and any other whose distance to the merged
+    cluster is strictly below its ``mind`` points there (on equality the
+    older, smaller id stays). Every merge thus sees the operands the
+    full-matrix scan would, and the rows are bit-identical to it. The cost is
+    typically O(n^2); when most slots pointed at a child it is still O(n^3).
     """
     n = len(dist.tickers)
     if n < 2:
@@ -142,18 +152,24 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
     np.fill_diagonal(d, np.inf)
     ids = np.arange(n)
     sizes = np.ones(n, dtype=np.int64)
+    above = np.where(np.tri(n, dtype=bool), np.inf, d)
+    nn = above.argmin(axis=1)
+    mind = above[ids, nn]
+    del above  # a second n x n array held through the loop raises peak memory
+    id_bound = 2 * n - 1  # above every cluster id
     rows: list[Merge] = []
 
     for step in range(n - 1):
-        i, j = divmod(int(d.argmin()), len(ids))
+        i = int(np.where(mind == mind.min(), ids, id_bound).argmin())
+        j = int(nn[i])
         height = d[i, j]
         merged_size = int(sizes[i] + sizes[j])
         rows.append(Merge(int(ids[i]), int(ids[j]), float(height), merged_size))
 
-        k = np.delete(np.arange(len(ids)), (i, j))
-        d_ik, d_jk = d[i, k], d[j, k]
+        # every slot at once: retired slots hold inf and come out inf
+        d_ik, d_jk = d[i], d[j]
         if method == "ward":
-            ni, nj, nk = sizes[i], sizes[j], sizes[k]
+            ni, nj, nk = sizes[i], sizes[j], sizes
             numerator = (ni + nk) * d_ik**2 + (nj + nk) * d_jk**2 - nk * height**2
             updated = np.sqrt(np.maximum(numerator, 0.0) / (ni + nj + nk))
         elif method == "single":
@@ -162,13 +178,21 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
             updated = np.maximum(d_ik, d_jk)
         else:
             updated = (sizes[i] * d_ik + sizes[j] * d_jk) / (sizes[i] + sizes[j])
-        d[i, k] = updated
-        d[k, i] = updated
+        updated[[i, j]] = np.inf
+        slot, retired = min(i, j), max(i, j)
+        d[retired] = d[:, retired] = np.inf
+        d[slot] = d[:, slot] = updated
+        ids[slot], ids[retired] = n + step, -1
+        sizes[slot] = merged_size
+        mind[[i, j]], nn[[i, j]] = np.inf, -1  # no active id is above the merged one
 
-        keep = np.append(k, i)
-        d = d[np.ix_(keep, keep)]
-        ids = np.append(ids[k], n + step)
-        sizes = np.append(sizes[k], merged_size)
+        # taken before repointing, which points slots at `slot`, itself i or j
+        stale = np.flatnonzero((nn == i) | (nn == j))
+        closer = updated < mind
+        mind[closer], nn[closer] = updated[closer], slot
+        rescan = np.where(ids > ids[stale, None], d[stale], np.inf)
+        mind[stale] = rescan.min(axis=1)
+        nn[stale] = np.where(rescan == mind[stale, None], ids, id_bound).argmin(axis=1)
 
     return LinkageTree(n_leaves=n, rows=tuple(rows))
 

@@ -321,13 +321,14 @@ def parse_wide_csv(
         all_tickers = header[1:]
         if not all_tickers or any(not name for name in all_tickers):
             raise MalformedCsv("wide CSV: every ticker column needs a name")
-        if len(set(all_tickers)) != len(all_tickers):
+        column = {name: index for index, name in enumerate(all_tickers, 1)}
+        if len(column) != len(all_tickers):
             raise MalformedCsv("wide CSV: duplicate ticker columns")
         wanted = list(tickers) if tickers is not None else all_tickers
-        missing = [name for name in wanted if name not in all_tickers]
+        missing = [name for name in wanted if name not in column]
         if missing:
             raise MalformedCsv(f"wide CSV: tickers not present: {missing}")
-        return 0, wanted, [all_tickers.index(name) + 1 for name in wanted]
+        return 0, wanted, [column[name] for name in wanted]
 
     return _read_table(source, "wide CSV", pick_columns)
 

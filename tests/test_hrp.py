@@ -67,6 +67,50 @@ def linkage_as_scipy(tree):
     return np.array([[r.left_id, r.right_id, r.height, r.size] for r in tree.rows], dtype=float)
 
 
+def full_scan_linkage(values, method="ward"):
+    """Reference: one argmin over the compacted, id-ordered matrix per merge.
+
+    This is the plain scan the nearest-neighbour lists in ``ward_linkage``
+    replace. It applies the same Lance-Williams expressions to the same
+    operands, so the two must agree to the last bit.
+    """
+    n = values.shape[0]
+    d = np.triu(values, 1)
+    d += d.T
+    np.fill_diagonal(d, np.inf)
+    ids = np.arange(n)
+    sizes = np.ones(n, dtype=np.int64)
+    rows = []
+    for step in range(n - 1):
+        i, j = divmod(int(d.argmin()), len(ids))
+        height = d[i, j]
+        merged_size = int(sizes[i] + sizes[j])
+        rows.append((int(ids[i]), int(ids[j]), float(height), merged_size))
+        k = np.delete(np.arange(len(ids)), (i, j))
+        d_ik, d_jk = d[i, k], d[j, k]
+        if method == "ward":
+            ni, nj, nk = sizes[i], sizes[j], sizes[k]
+            numerator = (ni + nk) * d_ik**2 + (nj + nk) * d_jk**2 - nk * height**2
+            updated = np.sqrt(np.maximum(numerator, 0.0) / (ni + nj + nk))
+        elif method == "single":
+            updated = np.minimum(d_ik, d_jk)
+        elif method == "complete":
+            updated = np.maximum(d_ik, d_jk)
+        else:
+            updated = (sizes[i] * d_ik + sizes[j] * d_jk) / (sizes[i] + sizes[j])
+        d[i, k] = updated
+        d[k, i] = updated
+        keep = np.append(k, i)
+        d = d[np.ix_(keep, keep)]
+        ids = np.append(ids[k], n + step)
+        sizes = np.append(sizes[k], merged_size)
+    return rows
+
+
+def exact_rows(rows):
+    return [(left, right, float(height).hex(), size) for left, right, height, size in rows]
+
+
 class TestCorrelationDistance:
     def corr(self, rho):
         values = np.array([[1.0, rho], [rho, 1.0]])
@@ -199,6 +243,38 @@ class TestWardLinkage:
     def test_single_linkage_two_points(self):
         tree = ward_linkage(distance_from([[0.0, 0.7], [0.7, 0.0]]), method="single")
         assert tree.rows[0].height == 0.7
+
+    def test_one_asset_rejected(self):
+        with pytest.raises(ValueError, match="^linkage needs at least 2 assets$"):
+            ward_linkage(distance_from([[0.0]]))
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown linkage method 'centroid'"):
+            ward_linkage(distance_from([[0.0, 0.7], [0.7, 0.0]]), method="centroid")
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        points=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2, max_size=40),
+        method=st.sampled_from(["ward", "single", "complete", "average"]),
+    )
+    def test_matches_full_scan_on_tie_heavy_lattice(self, points, method):
+        # rounded lattice distances tie often, and whole rows of zeros repeat
+        xy = np.array(points, dtype=float)
+        values = np.round(np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)), 1)
+        rows = ward_linkage(distance_from(values), method=method).rows
+        assert exact_rows(rows) == exact_rows(full_scan_linkage(values, method))
+
+    @pytest.mark.parametrize("method", ["ward", "single", "complete", "average"])
+    def test_matches_full_scan_on_one_factor_panel(self, method):
+        # one common factor puts many assets' nearest neighbour in the same
+        # few clusters, so most merges leave neighbour lists to rescan
+        rng = np.random.default_rng(7)
+        factor = rng.normal(0.0, 0.01, size=(1250, 1))
+        returns = factor * rng.uniform(0.2, 1.0, size=(1, 300))
+        returns += rng.normal(0.0, 0.01, size=(1250, 300))
+        dist = correlation_distance(correlation(sample_covariance(returns_matrix(returns))))
+        rows = ward_linkage(dist, method=method).rows
+        assert exact_rows(rows) == exact_rows(full_scan_linkage(dist.values, method))
 
 
 class TestQuasiDiagonalize:

@@ -80,10 +80,11 @@ class ComparisonSummary:
 
 def portfolio_daily_returns(weights: PortfolioWeights, returns: ReturnsMatrix) -> np.ndarray:
     """Fixed-weight daily portfolio return: r_p(t) = sum_i w_i * r_i(t)."""
-    missing = [t for t in weights.tickers if t not in returns.tickers]
+    column_of = {t: i for i, t in reversed(tuple(enumerate(returns.tickers)))}  # first wins, as tuple.index
+    missing = [t for t in weights.tickers if t not in column_of]
     if missing:
         raise TickerMismatch(f"weights reference tickers not in returns: {missing}")
-    columns = [returns.tickers.index(t) for t in weights.tickers]
+    columns = [column_of[t] for t in weights.tickers]
     return returns.values[:, columns] @ weights.weights
 
 

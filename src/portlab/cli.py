@@ -8,19 +8,22 @@ Subcommands:
 
 A failing sector never aborts the others; failures are reported as a JSON
 error list on stderr and turn the exit status to 1. Config problems exit 2
-before any computation. All artifact writes are atomic (temp file + rename)
-and byte-deterministic for identical inputs.
+before any computation. Each artifact write is atomic (temp file + rename)
+and byte-deterministic for identical inputs. ``run`` and ``build`` replace
+every artifact of the sectors they process, ``backtest`` all but the build
+files it reads, and all three the summary and error list; a failed sector
+keeps none of the files its command replaces.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from . import backtest as bt
 from .config import SETTINGS, ExperimentConfig, SectorConfig, load_config
 from .eigen import fit_pca, min_components_for_variance, select_best_eigen
 from .errors import ConfigError, PortlabError
-from .hrp import HrpResult, build_hrp_portfolio, dendrogram_dict
+from .hrp import build_hrp_portfolio, dendrogram_json
 from .market_data import PricePanel, _csv_text, align_panel, load_price_csv, parse_wide_csv, slice_period
 from .portfolio import PortfolioWeights, weights_from_csv
 from .returns_stats import correlation, daily_returns, sample_covariance
@@ -61,18 +64,31 @@ class SectorResult:
     failure: SectorFailure | None = None
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", delete=False
-    )
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
+# Every artifact name, by kind: "build" and "report" files go in <out>/<sector>,
+# "root" files in <out>. A command owns names and rewrites them as one set, so
+# the tree never mixes two runs. `run` and `build` own every name; `backtest`
+# all but the build files, which it may be reading from its own --out.
+ARTIFACTS = {
+    "build": {"weights_hrp.csv", "weights_eigen.csv", "dendrogram.json", "seriation.csv", "eigen_candidates.csv"},
+    "report": {"report.json", "report.csv", *(f"returns_{m}_{p}.csv" for m in ("eigen", "hrp") for p in bt.PERIODS)},
+    "root": {"summary.json", "summary.csv", "errors.json"},
+}
+
+
+def _write_files(directory: Path, owned: set[str], files: dict[str, str]) -> None:
+    """Write each ``{name: text}`` file atomically and remove every other owned name."""
+    if files:
+        directory.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        temp = directory / f".{name}.tmp"
+        try:
+            temp.write_text(text, encoding="utf-8")
+            os.replace(temp, directory / name)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+    for name in owned - files.keys():
+        (directory / name).unlink(missing_ok=True)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -98,10 +114,10 @@ def _load_sector_panels(
     return slice_period(panel, config.train), slice_period(panel, config.test)
 
 
-def _build_sector_portfolios(
+def _build_sector(
     train_panel: PricePanel, config: ExperimentConfig
-) -> tuple[HrpResult, PortfolioWeights, list]:
-    """Both portfolios from one training-window covariance and correlation."""
+) -> tuple[dict[str, PortfolioWeights], dict[str, str]]:
+    """Both portfolios from one training-window covariance and correlation, and their build files."""
     train_returns = daily_returns(train_panel)
     cov = sample_covariance(train_returns)
     corr = correlation(cov)
@@ -111,37 +127,22 @@ def _build_sector_portfolios(
             train_returns.n_obs,
             len(train_returns.tickers),
         )
-    hrp_result = build_hrp_portfolio(cov, corr, linkage_method=config.linkage_method)
+    hrp = build_hrp_portfolio(cov, corr, linkage_method=config.linkage_method)
     model = fit_pca(corr if config.standardize else cov)
     k_max = min_components_for_variance(model, config.variance_threshold)
     eigen_weights, candidates = select_best_eigen(
         train_returns, model, k_max, config.risk_free_rate
     )
-    return hrp_result, eigen_weights, candidates
-
-
-def _write_build_artifacts(
-    out_dir: Path,
-    sector: str,
-    hrp_result: HrpResult,
-    eigen_weights: PortfolioWeights,
-    candidates: list,
-) -> None:
-    sector_dir = out_dir / sector
-    tickers = hrp_result.weights.tickers
-    _atomic_write(sector_dir / "weights_hrp.csv", hrp_result.weights.to_csv())
-    _atomic_write(sector_dir / "weights_eigen.csv", eigen_weights.to_csv())
-    _atomic_write(
-        sector_dir / "dendrogram.json",
-        json.dumps(dendrogram_dict(hrp_result.tree, tickers), indent=2, sort_keys=True) + "\n",
-    )
-    seriated = hrp_result.order.tickers(tickers)
-    _atomic_write(sector_dir / "seriation.csv", _csv_text(("position", "ticker"), enumerate(seriated)))
+    tickers = hrp.weights.tickers
     rows = ([c.component_index, float(c.in_sample_sharpe), *c.weights.tolist()] for c in candidates)
-    _atomic_write(
-        sector_dir / "eigen_candidates.csv",
-        _csv_text(("component_index", "in_sample_sharpe", *tickers), rows),
-    )
+    files = {
+        "weights_hrp.csv": hrp.weights.to_csv(),
+        "weights_eigen.csv": eigen_weights.to_csv(),
+        "dendrogram.json": dendrogram_json(hrp.tree, tickers),
+        "seriation.csv": _csv_text(("position", "ticker"), enumerate(hrp.order.tickers(tickers))),
+        "eigen_candidates.csv": _csv_text(("component_index", "in_sample_sharpe", *tickers), rows),
+    }
+    return {"HRP": hrp.weights, "EIGEN": eigen_weights}, files
 
 
 def _load_weights(sector_dir: Path) -> dict[str, PortfolioWeights]:
@@ -153,21 +154,6 @@ def _load_weights(sector_dir: Path) -> dict[str, PortfolioWeights]:
     return weights
 
 
-def _write_report_artifacts(
-    out_dir: Path, report: bt.BacktestReport, fmt: str
-) -> None:
-    sector_dir = out_dir / report.sector
-    if fmt == "csv":
-        _atomic_write(sector_dir / "report.csv", bt.report_to_csv(report))
-    else:
-        _atomic_write(sector_dir / "report.json", bt.report_to_json(report))
-    if report.series:
-        for method, by_period in sorted(report.series.items()):
-            for period, series in sorted(by_period.items()):
-                name = f"returns_{method.lower()}_{period}.csv"
-                _atomic_write(sector_dir / name, series.to_csv())
-
-
 def _run_one_sector(
     sector: SectorConfig,
     config: ExperimentConfig,
@@ -176,34 +162,43 @@ def _run_one_sector(
     evaluate: bool,
     weights_dir: Path | None,
 ) -> SectorResult:
-    """ingest -> build weights (or load them from weights_dir) -> backtest -> write."""
-    stage = "ingest"
+    """ingest -> build weights (or load them from weights_dir) -> backtest -> write.
+
+    Every file is computed before the first is written; a failed sector keeps none it owns.
+    """
+    sector_dir = out_dir / sector.name
+    owned = ARTIFACTS["report"] | (ARTIFACTS["build"] if weights_dir is None else set())
+    files: dict[str, str] = {}  # build files, then report files
+    report = None
+    stage, source = "ingest", sector.data
     try:
         train_panel, test_panel = _load_sector_panels(sector, config)
         if weights_dir is None:
             stage = "build"
-            hrp_result, eigen_weights, candidates = _build_sector_portfolios(train_panel, config)
-            _write_build_artifacts(out_dir, sector.name, hrp_result, eigen_weights, candidates)
-            weights = {"HRP": hrp_result.weights, "EIGEN": eigen_weights}
+            weights, files = _build_sector(train_panel, config)
         else:
-            stage = "load_weights"
+            stage, source = "load_weights", str(weights_dir / sector.name)
             weights = _load_weights(weights_dir / sector.name)
-        if not evaluate:
-            return SectorResult(sector=sector.name)
-        stage = "backtest"
-        report = bt.evaluate(
-            weights,
-            train_panel,
-            test_panel,
-            risk_free=config.risk_free_rate,
-            sector=sector.name,
-            extra_metadata={"config_hash": config_hash(config), "alignment": config.alignment},
-        )
-        stage = "write"
-        _write_report_artifacts(out_dir, report, fmt)
+        if evaluate:
+            stage, source = "backtest", sector.data
+            report = bt.evaluate(
+                weights,
+                train_panel,
+                test_panel,
+                risk_free=config.risk_free_rate,
+                sector=sector.name,
+                extra_metadata={"config_hash": config_hash(config), "alignment": config.alignment},
+            )
+            files[f"report.{fmt}"] = bt.report_to_csv(report) if fmt == "csv" else bt.report_to_json(report)
+            for method, by_period in (report.series or {}).items():
+                for period, series in by_period.items():
+                    files[f"returns_{method.lower()}_{period}.csv"] = series.to_csv()
+        stage, source = "write", str(sector_dir)
+        _write_files(sector_dir, owned, files)
         return SectorResult(sector=sector.name, report=report)
     except (PortlabError, OSError, ValueError) as cause:
-        source = str(weights_dir / sector.name) if stage == "load_weights" else sector.data
+        with contextlib.suppress(OSError):  # the failure may be that sector_dir is not a directory
+            _write_files(sector_dir, owned, {})
         return SectorResult(
             sector=sector.name,
             failure=SectorFailure(sector=sector.name, stage=stage, file=source, cause=str(cause)),
@@ -230,24 +225,20 @@ def run_experiment(
         if not sectors:
             raise ConfigError([f"--sector {sector_filter!r} matches no configured sector"])
     out_dir = Path(config.output_dir)
+    fmt = "csv" if fmt == "csv" else "json"  # names the report files; any value but csv writes JSON
     results = [
         _run_one_sector(sector, config, out_dir, fmt, evaluate, weights_dir) for sector in sectors
     ]
 
+    files = {}
     reports = [r.report for r in results if r.report is not None]
-    if evaluate and reports:
+    if reports:
         summary = bt.summarize(reports)
-        if fmt == "csv":
-            _atomic_write(out_dir / "summary.csv", bt.summary_to_csv(summary))
-        else:
-            _atomic_write(out_dir / "summary.json", bt.summary_to_json(summary))
-
-    failures = [r.failure for r in results if r.failure is not None]
+        files[f"summary.{fmt}"] = bt.summary_to_csv(summary) if fmt == "csv" else bt.summary_to_json(summary)
+    failures = [r.failure.as_dict() for r in results if r.failure is not None]
     if failures:
-        _atomic_write(
-            out_dir / "errors.json",
-            json.dumps([f.as_dict() for f in failures], indent=2, sort_keys=True) + "\n",
-        )
+        files["errors.json"] = json.dumps(failures, indent=2, sort_keys=True) + "\n"
+    _write_files(out_dir, ARTIFACTS["root"], files)
     return (EXIT_PARTIAL if failures else EXIT_OK), results
 
 

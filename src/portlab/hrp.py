@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -306,19 +307,33 @@ def build_hrp_portfolio(
     return HrpResult(weights=weights, tree=tree, order=order)
 
 
-def dendrogram_dict(tree: LinkageTree, tickers: Sequence[str]) -> dict[str, Any]:
-    """Nested {id, height, children} tree with ticker labels on the leaves."""
-    if len(tickers) != tree.n_leaves:
-        raise ValueError(f"{len(tickers)} labels for {tree.n_leaves} leaves")
-    nodes: list[dict[str, Any]] = [
-        {"id": index, "ticker": ticker, "height": 0.0} for index, ticker in enumerate(tickers)
-    ]
-    for k, row in enumerate(tree.rows):
-        nodes.append(
-            {
-                "id": tree.n_leaves + k,
-                "height": row.height,
-                "children": [nodes[row.left_id], nodes[row.right_id]],
-            }
-        )
-    return nodes[-1]
+def dendrogram_json(tree: LinkageTree, tickers: Sequence[str]) -> str:
+    """Nested {id, height, children} tree with ticker labels on the leaves, as JSON.
+
+    The text is ``json.dumps(..., indent=2, sort_keys=True)`` of the nested dicts
+    plus a newline, built from an explicit stack: a tree can nest n - 1 deep.
+    """
+    n = tree.n_leaves
+    if len(tickers) != n:
+        raise ValueError(f"{len(tickers)} labels for {n} leaves")
+    parts: list[str] = []
+    stack: list[str | tuple[int, int]] = [(tree.root_id, 0)]  # text to emit, or (node id, depth)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, depth = item
+        pad = "\n" + "  " * (depth + 1)  # before each key
+        close = "\n" + "  " * depth + "}"
+        if node < n:
+            ticker = encode_basestring_ascii(tickers[node])
+            parts.append(f'{{{pad}"height": 0.0,{pad}"id": {node},{pad}"ticker": {ticker}{close}')
+            continue
+        row = tree.rows[node - n]
+        child_pad = pad + "  "
+        parts.append(f'{{{pad}"children": [{child_pad}')
+        # popped in reverse: left child, separator, right child, then this node's other keys
+        stack.append(f'{pad}],{pad}"height": {float.__repr__(row.height)},{pad}"id": {node}{close}')
+        stack.extend(((row.right_id, depth + 2), f",{child_pad}", (row.left_id, depth + 2)))
+    return "".join(parts) + "\n"

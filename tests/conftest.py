@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ def pytest_terminal_summary(terminalreporter):
             continue
         verdict = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"{verdict}  {description}")
+
+
+def output_tree(root) -> dict[str, bytes]:
+    """Every file under ``root``: its relative path mapped to its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
 
 
 def make_panel(closes, tickers=None, start=date(2020, 1, 1)) -> PricePanel:

@@ -64,8 +64,8 @@ class TestPortfolioDailyReturns:
 
     def test_ticker_mismatch(self, rng):
         returns = daily_returns(panel_from_returns(rng.normal(0, 0.01, (10, 2)), tickers=("A", "B")))
-        with pytest.raises(TickerMismatch):
-            portfolio_daily_returns(weights_of([0.5, 0.5], ("A", "Z")), returns)
+        with pytest.raises(TickerMismatch, match=r"^weights reference tickers not in returns: \['Z', 'Y'\]$"):
+            portfolio_daily_returns(weights_of([0.2, 0.3, 0.5], ("Z", "A", "Y")), returns)
 
     def test_linear_in_weights(self, rng):
         target = rng.normal(0, 0.01, size=(25, 4))

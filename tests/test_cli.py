@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import os
 from datetime import date
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import portlab.cli
+from conftest import output_tree
 from portlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, config_hash, main, run_experiment
 from portlab.config import SETTINGS, load_config, load_sector_constituents, validate_config
 from portlab.errors import ConfigError
@@ -227,18 +229,9 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, fixture_config, tmp_path):
         config = load_config(fixture_config)
         run_experiment(config)
-        first = {
-            p.relative_to(tmp_path): p.read_bytes()
-            for p in sorted((tmp_path / "out").rglob("*"))
-            if p.is_file()
-        }
+        first = output_tree(tmp_path / "out")
         run_experiment(config)
-        second = {
-            p.relative_to(tmp_path): p.read_bytes()
-            for p in sorted((tmp_path / "out").rglob("*"))
-            if p.is_file()
-        }
-        assert first == second
+        assert output_tree(tmp_path / "out") == first
 
     def test_failing_sector_isolated(self, fixture_config, tmp_path):
         (tmp_path / "data" / "sector1" / "S1A.csv").unlink()
@@ -472,16 +465,13 @@ class TestMainEntry:
         assert "--jobs" not in capsys.readouterr().err
 
     def test_jobs_flag_is_ignored(self, fixture_config, tmp_path, capsys):
-        def tree(root):
-            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
         common = ["run", "--config", str(fixture_config), "--out"]
         assert main([*common, str(tmp_path / "plain")]) == EXIT_OK
         assert "--jobs" not in capsys.readouterr().err
         assert main([*common, str(tmp_path / "jobs"), "--jobs", "4"]) == EXIT_OK
         warnings = [line for line in capsys.readouterr().err.splitlines() if "--jobs" in line]
         assert warnings == ["warning: --jobs is deprecated and ignored; sectors run one at a time"]
-        assert tree(tmp_path / "jobs") == tree(tmp_path / "plain")
+        assert output_tree(tmp_path / "jobs") == output_tree(tmp_path / "plain")
 
     def test_config_hash_independent_of_out(self, fixture_config, tmp_path):
         hashes = set()
@@ -553,6 +543,100 @@ class TestMainEntry:
         path.write_bytes(content)
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         assert "is not valid JSON" in capsys.readouterr().err
+
+
+class TestOutputTree:
+    """A command's artifacts in the output directory all come from its own run."""
+
+    @pytest.fixture
+    def run(self, fixture_config):
+        def invoke(command, *flags):
+            return main([command, "--config", str(fixture_config), *flags])
+
+        return invoke
+
+    def test_clean_rerun_removes_stale_errors(self, run, tmp_path):
+        ticker = tmp_path / "data" / "sector1" / "S1A.csv"
+        good = ticker.read_bytes()
+        ticker.write_text("garbage\n")
+        assert run("run") == EXIT_PARTIAL
+        assert (tmp_path / "out" / "errors.json").exists()
+        ticker.write_bytes(good)
+        assert run("run") == EXIT_OK
+        assert not (tmp_path / "out" / "errors.json").exists()
+
+    def test_rerun_with_every_sector_failing_keeps_no_report(self, run, tmp_path):
+        assert run("run") == EXIT_OK
+        for sector in ("sector1", "sector2"):
+            next((tmp_path / "data" / sector).iterdir()).unlink()
+        assert run("run") == EXIT_PARTIAL
+        assert list(output_tree(tmp_path / "out")) == ["errors.json"]
+
+    def test_rerun_failing_at_backtest_keeps_no_file_of_that_sector(self, run, fixture_config, tmp_path):
+        assert run("run") == EXIT_OK
+        first = output_tree(tmp_path / "out")
+        test_start = json.loads(fixture_config.read_text())["test"]["start"]
+        for path in (tmp_path / "data" / "sector1").iterdir():
+            header, *rows = path.read_text().splitlines()
+            rows = [row if row < test_start else row[:10] + ",100.0" for row in rows]
+            path.write_text("\n".join([header, *rows]) + "\n")
+        assert run("run") == EXIT_PARTIAL
+        errors = json.loads((tmp_path / "out" / "errors.json").read_text())
+        assert [(e["sector"], e["stage"]) for e in errors] == [("sector1", "backtest")]
+        assert "constant" in errors[0]["cause"]
+        second = output_tree(tmp_path / "out")
+        assert not [name for name in second if name.startswith("sector1/")]
+        sector2 = {name: data for name, data in first.items() if name.startswith("sector2/")}
+        assert sector2.items() <= second.items()
+
+    def test_format_switch_replaces_reports(self, run, tmp_path):
+        assert run("run") == EXIT_OK
+        assert run("run", "--format", "csv") == EXIT_OK
+        names = set(output_tree(tmp_path / "out"))
+        assert {"summary.csv", "sector1/report.csv"} <= names
+        assert not {"summary.json", "sector1/report.json", "sector2/report.json"} & names
+
+    def test_backtest_failure_keeps_the_build_files_it_reads(self, run, tmp_path):
+        out = tmp_path / "out"
+        assert run("run") == EXIT_OK
+        weights = out / "sector1" / "weights_eigen.csv"
+        weights.write_text(weights.read_text().splitlines()[0] + "\nS1A\n")
+        assert run("backtest", "--weights", str(out), "--out", str(out)) == EXIT_PARTIAL
+        assert artifact_names(out / "sector1") == [
+            "dendrogram.json",
+            "eigen_candidates.csv",
+            "seriation.csv",
+            "weights_eigen.csv",
+            "weights_hrp.csv",
+        ]
+        assert (out / "sector2" / "report.json").exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_artifact_modes_follow_umask(self, run, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            assert run("run") == EXIT_OK
+        finally:
+            os.umask(previous)
+        paths = [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+        assert len(paths) == 21
+        assert {path.stat().st_mode & 0o777 for path in paths} == {0o666 & ~umask}
+
+    @pytest.mark.parametrize("inputs", ["good", "bad"])
+    def test_unwritable_sector_reported_at_write(self, run, tmp_path, inputs):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sector1").write_text("not a directory\n")
+        if inputs == "bad":
+            (tmp_path / "data" / "sector1" / "S1A.csv").unlink()
+        assert run("run") == EXIT_PARTIAL
+        errors = json.loads((out / "errors.json").read_text())
+        if inputs == "good":
+            expected = ("sector1", "write", str(out / "sector1"))
+        else:
+            expected = ("sector1", "ingest", str(tmp_path / "data" / "sector1"))
+        assert [(e["sector"], e["stage"], e["file"]) for e in errors] == [expected]
+        assert (out / "sector2" / "report.json").exists() and (out / "summary.json").exists()
 
 
 class TestWideFormatConfig:

@@ -1,3 +1,4 @@
+import json
 import math
 from datetime import date
 
@@ -19,7 +20,7 @@ from portlab.hrp import (
     build_hrp_portfolio,
     cluster_variance,
     correlation_distance,
-    dendrogram_dict,
+    dendrogram_json,
     inverse_variance_weights,
     quasi_diagonalize,
     recursive_bisection,
@@ -479,10 +480,45 @@ class TestPermutationBehavior:
         assert checked >= 3
 
 
+def dendrogram_dict(tree, tickers):
+    """Reference for dendrogram_json: the nested {id, height, children} dicts."""
+    nodes = [{"id": index, "ticker": ticker, "height": 0.0} for index, ticker in enumerate(tickers)]
+    for k, row in enumerate(tree.rows):
+        children = [nodes[row.left_id], nodes[row.right_id]]
+        nodes.append({"id": tree.n_leaves + k, "height": row.height, "children": children})
+    return nodes[-1]
+
+
+@st.composite
+def random_trees(draw):
+    """A valid LinkageTree over 1-12 leaves, with tickers that JSON must escape."""
+    n = draw(st.integers(1, 12))
+    tickers = draw(
+        st.lists(st.text(alphabet="aé\",\\\n", min_size=1, max_size=4), min_size=n, max_size=n)
+    )
+    steps = draw(st.lists(st.floats(0.0, 10.0), min_size=n - 1, max_size=n - 1))
+    active, sizes, rows = list(range(n)), {leaf: 1 for leaf in range(n)}, []
+    for k, step in enumerate(steps):
+        a = active.pop(draw(st.integers(0, len(active) - 1)))
+        b = active.pop(draw(st.integers(0, len(active) - 1)))
+        left, right = min(a, b), max(a, b)
+        height = (rows[-1].height if rows else 0.0) + step
+        rows.append(Merge(left, right, height, sizes[left] + sizes[right]))
+        sizes[n + k] = rows[-1].size
+        active.append(n + k)
+    return LinkageTree(n_leaves=n, rows=tuple(rows)), tickers
+
+
+def chain(n):
+    """n leaves merged one at a time: the deepest tree n leaves can make."""
+    rows = [Merge(0, 1, 0.0, 2)] + [Merge(k + 1, n + k - 1, float(k), k + 2) for k in range(1, n - 1)]
+    return LinkageTree(n_leaves=n, rows=tuple(rows))
+
+
 class TestDendrogramExport:
     def test_nested_structure(self):
         tree = LinkageTree(n_leaves=3, rows=(Merge(0, 2, 0.1, 2), Merge(1, 3, 0.4, 3)))
-        root = dendrogram_dict(tree, ("AAA", "BBB", "CCC"))
+        root = json.loads(dendrogram_json(tree, ("AAA", "BBB", "CCC")))
         assert root["id"] == 4 and root["height"] == 0.4
         left, right = root["children"]
         assert left == {"id": 1, "ticker": "BBB", "height": 0.0}
@@ -491,4 +527,20 @@ class TestDendrogramExport:
     def test_label_count_checked(self):
         tree = LinkageTree(n_leaves=2, rows=(Merge(0, 1, 0.2, 2),))
         with pytest.raises(ValueError):
-            dendrogram_dict(tree, ("only",))
+            dendrogram_json(tree, ("only",))
+
+    @given(random_trees())
+    def test_matches_indented_json_dump(self, tree_and_tickers):
+        tree, tickers = tree_and_tickers
+        expected = json.dumps(dendrogram_dict(tree, tickers), indent=2, sort_keys=True) + "\n"
+        assert dendrogram_json(tree, tickers) == expected
+
+    def test_deep_chain_writes(self):
+        # a chain nests one level per merge; json.dumps fails near 500 levels
+        small = chain(50)
+        expected = json.dumps(dendrogram_dict(small, tickers_for(50)), indent=2, sort_keys=True)
+        assert dendrogram_json(small, tickers_for(50)) == expected + "\n"
+        text = dendrogram_json(chain(1000), tickers_for(1000))
+        assert text.count('"ticker": ') == 1000 and text.count('"children": [') == 999
+        assert "\n" + "  " * 1999 + '"ticker": "T00"\n' in text  # leaf 0, 999 levels down
+        assert text.endswith('\n  "height": 998.0,\n  "id": 1998\n}\n')

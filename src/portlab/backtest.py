@@ -84,8 +84,9 @@ def portfolio_daily_returns(weights: PortfolioWeights, returns: ReturnsMatrix) -
     missing = [t for t in weights.tickers if t not in column_of]
     if missing:
         raise TickerMismatch(f"weights reference tickers not in returns: {missing}")
-    columns = [column_of[t] for t in weights.tickers]
-    return returns.values[:, columns] @ weights.weights
+    aligned = np.zeros(len(returns.tickers))  # the weights in the returns' column order
+    aligned[[column_of[t] for t in weights.tickers]] = weights.weights
+    return returns.values @ aligned
 
 
 def evaluate(

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import backtest as bt
 from .config import SETTINGS, ExperimentConfig, SectorConfig, load_config
-from .eigen import fit_pca, min_components_for_variance, select_best_eigen
+from .eigen import EigenCandidate, fit_pca, min_components_for_variance, select_best_eigen
 from .errors import ConfigError, PortlabError
 from .hrp import build_hrp_portfolio, dendrogram_json
 from .market_data import PricePanel, _csv_text, align_panel, load_price_csv, parse_wide_csv, slice_period
@@ -134,13 +134,12 @@ def _build_sector(
         train_returns, model, k_max, config.risk_free_rate
     )
     tickers = hrp.weights.tickers
-    rows = ([c.component_index, float(c.in_sample_sharpe), *c.weights.tolist()] for c in candidates)
     files = {
         "weights_hrp.csv": hrp.weights.to_csv(),
         "weights_eigen.csv": eigen_weights.to_csv(),
         "dendrogram.json": dendrogram_json(hrp.tree, tickers),
         "seriation.csv": _csv_text(("position", "ticker"), enumerate(hrp.order.tickers(tickers))),
-        "eigen_candidates.csv": _csv_text(("component_index", "in_sample_sharpe", *tickers), rows),
+        "eigen_candidates.csv": _csv_text(EigenCandidate._fields, candidates),
     }
     return {"HRP": hrp.weights, "EIGEN": eigen_weights}, files
 

@@ -71,11 +71,16 @@ class PCAModel:
 
 
 class EigenCandidate(NamedTuple):
-    """One component's sum-normalized loadings and its in-sample Sharpe."""
+    """One component's in-sample score; the fields are the candidate CSV's columns.
+
+    The weights are not kept: ``candidate_portfolio(model, component_index)``
+    rebuilds them bit for bit.
+    """
 
     component_index: int  # 1-based rank of the component
-    weights: np.ndarray
     in_sample_sharpe: float
+    gross_leverage: float  # sum of |w| over the sum-normalized loadings
+    train_annual_volatility: float
 
 
 def fit_pca(matrix: CorrelationMatrix | CovarianceMatrix) -> PCAModel:
@@ -92,11 +97,9 @@ def fit_pca(matrix: CorrelationMatrix | CovarianceMatrix) -> PCAModel:
         raise ValueError(f"eigenvalue {eigenvalues.min()} below numerical floor")
     eigenvalues = np.maximum(eigenvalues, 0.0)
 
-    # orient deterministically: largest-|entry| coordinate made positive
-    for k in range(vectors.shape[1]):
-        pivot = np.argmax(np.abs(vectors[:, k]))
-        if vectors[pivot, k] < 0:
-            vectors[:, k] = -vectors[:, k]
+    # orient deterministically: largest-|entry| coordinate (first on ties) made positive
+    pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    vectors = vectors * np.where(pivots < 0, -1.0, 1.0)
 
     total = float(eigenvalues.sum())
     if total <= 0.0:
@@ -114,11 +117,8 @@ def min_components_for_variance(model: PCAModel, threshold: float) -> int:
     """Smallest k whose leading components explain at least the threshold."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    cumulative = np.cumsum(model.explained_ratio)
-    for k, reached in enumerate(cumulative, start=1):
-        if reached >= threshold - 1e-12:
-            return k
-    return model.n_components
+    reached = np.cumsum(model.explained_ratio) >= threshold - 1e-12
+    return int(reached.argmax()) + 1 if reached.any() else model.n_components
 
 
 def candidate_portfolio(model: PCAModel, component_index: int) -> np.ndarray:
@@ -163,7 +163,8 @@ def select_best_eigen(
         except (DegenerateLoadingSum, ZeroVolatility) as reason:
             logger.info("skipping eigen candidate %d: %s", k, reason)
             continue
-        candidates.append(EigenCandidate(k, weights, metrics.sharpe_ratio))
+        gross = float(np.abs(weights).sum())
+        candidates.append(EigenCandidate(k, metrics.sharpe_ratio, gross, metrics.annual_volatility))
 
     if not candidates:
         raise NoViableCandidate(f"no viable eigen candidate among components 1..{k_max}")
@@ -171,7 +172,7 @@ def select_best_eigen(
     best = ranked[0]
     weights = PortfolioWeights(
         tickers=returns.tickers,
-        weights=best.weights,
+        weights=candidate_portfolio(model, best.component_index),
         method="EIGEN",
         metadata={
             "component_index": best.component_index,

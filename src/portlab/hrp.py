@@ -273,9 +273,6 @@ def recursive_bisection(
         queue.append(left_items)
         queue.append(right_items)
 
-    total_weight = float(weights.sum())
-    if abs(total_weight - 1.0) > 1e-9:
-        raise ValueError(f"bisection weights sum to {total_weight!r}")
     metadata: dict[str, Any] = {"degenerate_splits": degenerate_splits}
     metadata.update(extra_metadata or {})
     return PortfolioWeights(tickers=cov.tickers, weights=weights, method="HRP", metadata=metadata)

@@ -62,6 +62,26 @@ class TestPortfolioDailyReturns:
         )
         assert flipped == pytest.approx(direct, abs=1e-15)
 
+    @pytest.fixture
+    def wide(self, rng):
+        """40 assets and sum-normalized weights with shorts, gross leverage about 30."""
+        tickers = tuple(f"T{i:02d}" for i in range(40))
+        returns = daily_returns(panel_from_returns(rng.normal(0.0005, 0.02, (250, 40)), tickers=tickers))
+        raw = rng.normal(0.0, 1.0, 40)
+        return returns, weights_of(raw / raw.sum(), tickers, method="EIGEN")
+
+    def test_weight_order_changes_no_bit(self, wide):
+        returns, weights = wide
+        reversed_order = weights_of(weights.weights[::-1], weights.tickers[::-1], method="EIGEN")
+        assert np.array_equal(
+            portfolio_daily_returns(reversed_order, returns), portfolio_daily_returns(weights, returns)
+        )
+
+    def test_aligned_weights_score_as_the_plain_product(self, wide):
+        # the eigen candidates are scored with this product; the report must agree bit for bit
+        returns, weights = wide
+        assert np.array_equal(portfolio_daily_returns(weights, returns), returns.values @ weights.weights)
+
     def test_ticker_mismatch(self, rng):
         returns = daily_returns(panel_from_returns(rng.normal(0, 0.01, (10, 2)), tickers=("A", "B")))
         with pytest.raises(TickerMismatch, match=r"^weights reference tickers not in returns: \['Z', 'Y'\]$"):

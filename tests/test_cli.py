@@ -6,6 +6,7 @@ import os
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -225,6 +226,21 @@ class TestRunExperiment:
             assert artifact_names(out / sector) == expected
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["winners"]) == {"sector1", "sector2"}
+
+    def test_eigen_candidates_score_the_exported_pick(self, tmp_path):
+        assert main(["run", "--config", str(write_fixture(tmp_path))]) == EXIT_OK
+        for sector_dir in sorted((tmp_path / "out").glob("sector*")):
+            with (sector_dir / "eigen_candidates.csv").open(newline="", encoding="utf-8") as handle:
+                header, pick, *_ = csv.reader(handle)
+            assert header == ["component_index", "in_sample_sharpe", "gross_leverage", "train_annual_volatility"]
+            report = json.loads((sector_dir / "report.json").read_text(encoding="utf-8"))
+            chosen, train = report["metadata"]["eigen"], report["methods"]["EIGEN"]["train"]
+            with (sector_dir / "weights_eigen.csv").open(newline="", encoding="utf-8") as handle:
+                weights = [float(row[1]) for row in list(csv.reader(handle))[1:]]
+            assert int(pick[0]) == chosen["component_index"]
+            assert float(pick[1]) == chosen["candidate_sharpe"] == train["sharpe_ratio"]
+            assert float(pick[2]) == float(np.abs(weights).sum())
+            assert float(pick[3]) == train["annual_volatility"]
 
     def test_rerun_is_byte_identical(self, fixture_config, tmp_path):
         config = load_config(fixture_config)

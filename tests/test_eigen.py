@@ -181,6 +181,8 @@ class TestSelectBestEigen:
         assert candidates == sorted(
             candidates, key=lambda c: (-c.in_sample_sharpe, c.component_index)
         )
+        for c in candidates:
+            assert c.gross_leverage == np.abs(candidate_portfolio(model, c.component_index)).sum()
 
     def test_exact_tie_prefers_lower_component(self):
         # two uncorrelated assets with identical mean and std: identity
@@ -222,9 +224,11 @@ class TestSelectBestEigen:
             select_best_eigen(returns, model, k_max=0)
 
     def test_candidate_tuple_shape(self):
-        candidate = EigenCandidate(2, np.array([0.6, 0.4]), 1.25)
+        candidate = EigenCandidate(2, 1.25, 1.4, 0.21)
         assert candidate.component_index == 2
         assert candidate.in_sample_sharpe == 1.25
+        assert candidate.gross_leverage == 1.4
+        assert candidate.train_annual_volatility == 0.21
 
 
 class TestPCAModelInvariants:

@@ -15,7 +15,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import TickerMismatch
-from .market_data import PricePanel, _csv_text, _frozen
+from .market_data import PricePanel, _as_days, _csv_text, _dated_csv_text, _frozen
 from .portfolio import PortfolioWeights
 from .returns_stats import (
     TRADING_DAYS_PER_YEAR,
@@ -50,7 +50,7 @@ class ReturnSeries:
             raise ValueError("series values contain non-finite values")
 
     def to_csv(self) -> str:
-        return _csv_text(("date", "return"), zip(self.dates, self.values.tolist()))
+        return _dated_csv_text(("date", "return"), _as_days(self.dates), self.values)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial, reduce
-from operator import methodcaller
 from pathlib import Path
 from typing import IO, Callable, Iterable, Literal, Sequence
 
@@ -72,6 +71,14 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return buffer.getvalue()
 
 
+def _dated_csv_text(header: tuple[str, str], days: np.ndarray, values: np.ndarray) -> str:
+    """The text ``_csv_text(header, zip(days, values.tolist()))`` writes for
+    ``datetime64[D]`` days and finite floats, joined directly: an ISO date and
+    a finite float's repr never need quoting."""
+    rows = map(",".join, zip(np.datetime_as_string(days).tolist(), map(repr, values.tolist())))
+    return "\n".join([",".join(header), *rows, ""])
+
+
 def _as_days(days: Sequence[date]) -> np.ndarray:
     """``datetime64[D]`` array of ``days``, built from ordinals (far cheaper than from dates)."""
     ordinals = np.fromiter(map(date.toordinal, days), dtype=np.int64, count=len(days))
@@ -114,7 +121,7 @@ class PriceSeries:
 
     def to_csv(self) -> str:
         """Serialize back to ``Date,Close`` text; floats keep full precision."""
-        return _csv_text(("Date", "Close"), self.observations)
+        return _dated_csv_text(("Date", "Close"), self.dates, self.closes)
 
 
 @dataclass(frozen=True)
@@ -194,20 +201,31 @@ def _read_clean(text: str, pick_columns: ColumnPicker) -> Table | None:
         lines.pop()
     header = header_line.split(",")
     n_fields, limit = len(header), csv.field_size_limit()
-    arities = set(map(methodcaller("count", ","), lines))  # per row: a total cell count can balance
-    if not header_line or max(map(len, header)) > limit or arities - {n_fields - 1}:
+    if not header_line or max(map(len, header)) > limit:
         return None
     date_col, names, close_cols = pick_columns([name.strip() for name in header])
     dates = np.empty(len(lines), dtype="datetime64[D]")
     closes = np.empty((len(lines), len(close_cols)))
     step = max(1, (1 << 16) // n_fields)  # rows per block: bounds the strings alive at one time
     for start in range(0, len(lines), step):
-        joined = ",".join(lines[start : start + step])
-        # a blank cell between two commas reads as "nan", the NaN _parse_close gives it
-        cells = joined.replace(",,", ",nan,").replace(",,", ",nan,").split(",")
-        block = slice(start, start + len(cells) // n_fields)
-        if max(map(len, cells)) > limit:
+        rows = lines[start : start + step]
+        block = slice(start, start + len(rows))
+        joined = "\n".join(rows)
+        # per row n_fields - 1 commas, then its line feed (a total can balance), and no field wider
+        # than the csv module's limit in bytes, so none in characters; "surrogatepass" encodes a
+        # lone surrogate, a missing quote to the row loop
+        raw = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
+        ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+        if (
+            ends.size != len(rows) * n_fields - 1
+            or (raw[ends[n_fields - 1 :: n_fields]] != ord("\n")).any()
+            or np.diff(ends, prepend=-1, append=raw.size).max() > limit + 1
+        ):
             return None
+        joined = joined.replace("\n", ",")
+        if ",," in joined:  # a blank cell between two commas reads as "nan", the NaN _parse_close gives it
+            joined = joined.replace(",,", ",nan,").replace(",,", ",nan,")
+        cells = joined.split(",")
         try:
             dates[block] = _as_days(list(map(date.fromisoformat, cells[date_col::n_fields])))
         except ValueError:
@@ -260,8 +278,9 @@ def _read_table(
     is split in blocks of rows by ``_read_clean``. Any ``"`` or ``\\r``, an
     empty header line, a row of another arity, a blank row, a date
     ``date.fromisoformat`` rejects unstripped or a field over the csv module's
-    limit sends the text to the row loop of ``_read_rows``, which names the
-    row of an arity or date fault and the line of a csv reader fault.
+    limit in UTF-8 bytes sends the text to the row loop of ``_read_rows``,
+    which names the row of an arity or date fault and the line of a csv
+    reader fault.
     """
     raw = source if isinstance(source, (bytes, str)) else source.read()
     text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")

@@ -54,7 +54,7 @@ class PortfolioWeights:
 
 def weights_from_csv(text: str, method: Method) -> PortfolioWeights:
     """Rebuild PortfolioWeights from ``ticker,weight`` CSV text."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         rows = list(reader)
     except csv.Error as bad:  # e.g. a field over the csv module's 131,072-character limit

@@ -456,6 +456,18 @@ class TestMainEntry:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["winners"]) == {"sector2"}
 
+    def test_backtest_reads_weights_with_a_bom(self, fixture_config, tmp_path):
+        # price CSVs may start with a UTF-8 byte order mark, and so may weights CSVs
+        out = tmp_path / "out"
+        assert main(["build", "--config", str(fixture_config)]) == EXIT_OK
+        backtest = ["backtest", "--config", str(fixture_config), "--weights", str(out)]
+        assert main(backtest) == EXIT_OK
+        plain = (out / "sector1" / "report.json").read_bytes()
+        weights = out / "sector1" / "weights_hrp.csv"
+        weights.write_bytes(b"\xef\xbb\xbf" + weights.read_bytes())
+        assert main(backtest) == EXIT_OK
+        assert (out / "sector1" / "report.json").read_bytes() == plain
+
     def test_backtest_short_weights_row_isolated(self, fixture_config, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["build", "--config", str(fixture_config)]) == EXIT_OK

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_panel
 from portlab import market_data
+from portlab.backtest import ReturnSeries
 from portlab.errors import (
     DuplicateDate,
     EmptyIntersection,
@@ -21,6 +22,7 @@ from portlab.market_data import (
     PeriodSpec,
     PricePanel,
     PriceSeries,
+    _csv_text,
     align_panel,
     parse_price_csv,
     parse_wide_csv,
@@ -603,15 +605,89 @@ class TestBlockSplit:
             assert np.array_equal(parsed.dates, original.dates)
             assert np.array_equal(parsed.closes, original.closes)
 
-        # the wide layout of the benchmark's universe: repr closes, blank cells, a final line feed
-        cells = [[repr(v) for v in row] for row in panel.closes.tolist()]
-        blanks = [(0, 1), (3, 0), (3, 1), (3, 2), (7, 2), (len(cells) - 1, 2)]
-        for row, col in blanks:
-            cells[row][col] = ""
-        lines = ["Date," + ",".join(tickers)]
-        lines.extend(f"{d.isoformat()},{','.join(r)}" for d, r in zip(panel.dates, cells))
-        members = parse_wide_csv("\n".join(lines) + "\n")
-        for col, parsed in enumerate(members):
-            kept = [row for row in range(len(cells)) if (row, col) not in blanks]
-            assert parsed.dates.tolist() == [panel.dates[row] for row in kept]
-            assert parsed.closes.tolist() == panel.closes[kept, col].tolist()
+        # the wide layout of the benchmark's universe: repr closes, blank cells, a final line feed;
+        # 600 tickers put the rows in two blocks, with blanks in both and in the very last cell
+        wide = synthetic_panel([f"W{i}" for i in range(600)], panel.dates, seed=6)
+        assert len(wide.dates) > (1 << 16) // (len(wide.tickers) + 1)
+        last = len(panel.dates) - 1
+        for members, blanks in [
+            (panel, [(0, 1), (3, 0), (3, 1), (3, 2), (7, 2), (last, 2)]),
+            (wide, [(0, 5), (40, 0), (108, 599), (109, 0), (110, 300), (last, 598), (last, 599)]),
+        ]:
+            cells = [[repr(v) for v in row] for row in members.closes.tolist()]
+            for row, col in blanks:
+                cells[row][col] = ""
+            lines = ["Date," + ",".join(members.tickers)]
+            lines.extend(f"{d.isoformat()},{','.join(r)}" for d, r in zip(members.dates, cells))
+            for col, parsed in enumerate(parse_wide_csv("\n".join(lines) + "\n")):
+                kept = [row for row in range(len(cells)) if (row, col) not in blanks]
+                assert parsed.dates.tolist() == [members.dates[row] for row in kept]
+                assert parsed.closes.tolist() == members.closes[kept, col].tolist()
+
+
+BLOCK_ROWS = (1 << 16) // 2  # rows in one block of a Date,Close text
+
+
+def past_one_block(*late_rows):
+    """A Date,Close text of one block of canonical rows, then ``late_rows``."""
+    days = (date.fromordinal(BASE_DAY - BLOCK_ROWS + i).isoformat() for i in range(BLOCK_ROWS))
+    return "\n".join(["Date,Close", *(f"{d},{i % 97 + 1}.25" for i, d in enumerate(days)), *late_rows, ""])
+
+
+class TestBlockSplitHazards:
+    """Texts the differential properties never draw, each read by both readers."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # a comma too many and one too few balance in the second block's total, and the cells
+            # still alternate date and close
+            pytest.param(
+                past_one_block("2021-01-01,1.5,2021-01-04", "7"),
+                (MalformedCsv, f"A: row {BLOCK_ROWS + 2} has 3 fields, header has 2"),
+                id="balanced-arity",
+            ),
+            pytest.param(
+                past_one_block("2021-01-01," + "9" * (131_072 + 1)),
+                (MalformedCsv, f"A: line {BLOCK_ROWS + 2}: field larger than field limit (131072)"),
+                id="field-over-limit",
+            ),
+            # a str source may hold a lone surrogate, which str.encode() rejects
+            pytest.param("Date,Close\n2021-01-01,1\ud800\n2021-01-04,2\n", [2.0], id="lone-surrogate"),
+            # float() reads full-width digits; 50,000 of them are under the limit in characters only
+            pytest.param("Date,Close\n2021-01-01,１２３.５\n2021-01-04,2\n", [123.5, 2.0], id="full-width-digits"),
+            pytest.param("Date,Close\n2021-01-01," + "１" * 50_000 + "\n2021-01-04,2\n", [2.0], id="wide-in-bytes"),
+        ],
+    )
+    def test_price_csv_matches_row_loop(self, text, expected):
+        parse = partial(parse_price_csv, text, "A")
+        with mock.patch.object(market_data, "_read_clean", return_value=None):
+            loop = outcome(parse)
+        assert outcome(parse) == loop
+        if isinstance(expected, tuple):  # the error's type and text
+            assert loop == expected
+        else:  # the closes kept
+            [(_, _, closes)] = loop
+            assert np.frombuffer(closes).tolist() == expected
+
+
+FINITE_ST = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+class TestDatedCsv:
+    @settings(deadline=None)
+    @given(days=st.lists(st.dates(), unique=True).map(sorted), data=st.data())  # 0001-01-01..9999-12-31
+    def test_series_writers_equal_csv_writer(self, days, data):
+        values = data.draw(st.lists(FINITE_ST, min_size=len(days), max_size=len(days)))
+        returns = ReturnSeries(tuple(days), np.array(values))
+        assert returns.to_csv() == _csv_text(("date", "return"), zip(days, values))
+        closes = [abs(v) or 5e-324 for v in values]
+        prices = PriceSeries("A", dates=days, closes=closes)
+        assert prices.to_csv() == _csv_text(("Date", "Close"), zip(days, closes))
+
+    def test_empty_series_is_the_header_line(self):
+        assert ReturnSeries((), np.empty(0)).to_csv() == "date,return\n"
+        assert PriceSeries("A", dates=[], closes=[]).to_csv() == "Date,Close\n"

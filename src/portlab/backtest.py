@@ -15,7 +15,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import TickerMismatch
-from .market_data import PricePanel, _as_days, _csv_text, _dated_csv_text, _frozen
+from .market_data import PricePanel, _as_days, _ascending, _csv_text, _dated_csv_text, _frozen
 from .portfolio import PortfolioWeights
 from .returns_stats import (
     TRADING_DAYS_PER_YEAR,
@@ -46,6 +46,8 @@ class ReturnSeries:
         values = _frozen(self, "values")
         if values.shape != (len(self.dates),):
             raise ValueError("series values do not match dates")
+        if not _ascending(self.dates):
+            raise ValueError("series dates not strictly increasing")
         if not np.isfinite(values).all():
             raise ValueError("series values contain non-finite values")
 

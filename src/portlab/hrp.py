@@ -14,7 +14,6 @@ rank-deficient covariances are handled without special casing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Literal, NamedTuple, Sequence
@@ -216,23 +215,30 @@ def quasi_diagonalize(tree: LinkageTree) -> SeriationOrder:
     return SeriationOrder(order=tuple(order))
 
 
+def _inverse_variance(variances: np.ndarray, tickers: Sequence[str]) -> np.ndarray:
+    """Weights proportional to 1/variance; ``tickers`` names each variance."""
+    if (variances <= VARIANCE_FLOOR).any():
+        raise ZeroVarianceAsset([t for t, v in zip(tickers, variances) if v <= VARIANCE_FLOOR])
+    inverse = 1.0 / variances
+    return inverse / inverse.sum()
+
+
+def _block_variance(block: np.ndarray, tickers: Sequence[str]) -> float:
+    """w' V w for the inverse-variance weights w over a square covariance block."""
+    w = _inverse_variance(block.diagonal(), tickers)
+    return float(w @ block @ w)
+
+
 def inverse_variance_weights(cov: CovarianceMatrix, subset: Sequence[int]) -> np.ndarray:
     """Weights proportional to 1/variance over the given asset indices."""
     indices = list(subset)
-    variances = cov.values[indices, indices]
-    dead = [cov.tickers[i] for i, v in zip(indices, variances) if v <= VARIANCE_FLOOR]
-    if dead:
-        raise ZeroVarianceAsset(dead)
-    inverse = 1.0 / variances
-    return inverse / inverse.sum()
+    return _inverse_variance(cov.values[indices, indices], [cov.tickers[i] for i in indices])
 
 
 def cluster_variance(cov: CovarianceMatrix, subset: Sequence[int]) -> float:
     """Variance of the inverse-variance allocation over a cluster: w' V w."""
     indices = list(subset)
-    w = inverse_variance_weights(cov, indices)
-    block = cov.values[np.ix_(indices, indices)]
-    return float(w @ block @ w)
+    return _block_variance(cov.values[np.ix_(indices, indices)], [cov.tickers[i] for i in indices])
 
 
 def recursive_bisection(
@@ -247,35 +253,44 @@ def recursive_bisection(
     alpha = 1 - V_left / (V_left + V_right) and the right half's by
     1 - alpha. When both half variances underflow the numerical floor the
     split falls back to alpha = 0.5 and the event is counted in metadata.
+
+    The covariance is permuted once into seriation order, so every slice is
+    a contiguous span of that block; the weights are scattered back to the
+    covariance's ticker order at the end. A direct call with a dead asset
+    raises ZeroVarianceAsset for the dead tickers of the first split's left
+    half, or failing that of its right half, in seriation order.
     """
     if len(order.order) != len(cov.tickers):  # SeriationOrder is already a permutation
         raise ValueError("seriation order does not cover the covariance tickers")
 
-    weights = np.ones(len(cov.tickers))
-    queue: deque[list[int]] = deque([list(order.order)])
+    positions = list(order.order)
+    seriated = cov.values[np.ix_(positions, positions)]
+    labels = order.tickers(cov.tickers)
+    weights = np.ones(len(positions))
+    spans = [(0, len(positions))]
     degenerate_splits = 0
-    while queue:
-        items = queue.popleft()
-        if len(items) < 2:
+    while spans:
+        start, stop = spans.pop()
+        if stop - start < 2:
             continue
-        mid = len(items) // 2
-        left_items, right_items = items[:mid], items[mid:]
-        v_left = max(cluster_variance(cov, left_items), 0.0)
-        v_right = max(cluster_variance(cov, right_items), 0.0)
+        mid = start + (stop - start) // 2
+        v_left = max(_block_variance(seriated[start:mid, start:mid], labels[start:mid]), 0.0)
+        v_right = max(_block_variance(seriated[mid:stop, mid:stop], labels[mid:stop]), 0.0)
         total = v_left + v_right
         if total <= VARIANCE_FLOOR:
             alpha = 0.5
             degenerate_splits += 1
         else:
             alpha = 1.0 - v_left / total
-        weights[left_items] *= alpha
-        weights[right_items] *= 1.0 - alpha
-        queue.append(left_items)
-        queue.append(right_items)
+        weights[start:mid] *= alpha
+        weights[mid:stop] *= 1.0 - alpha
+        spans += ((mid, stop), (start, mid))
+    scattered = np.empty_like(weights)
+    scattered[positions] = weights
 
     metadata: dict[str, Any] = {"degenerate_splits": degenerate_splits}
     metadata.update(extra_metadata or {})
-    return PortfolioWeights(tickers=cov.tickers, weights=weights, method="HRP", metadata=metadata)
+    return PortfolioWeights(tickers=cov.tickers, weights=scattered, method="HRP", metadata=metadata)
 
 
 class HrpResult(NamedTuple):

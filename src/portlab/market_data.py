@@ -14,9 +14,9 @@ import csv
 import io
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import date
-from functools import partial, reduce
 from pathlib import Path
 from typing import IO, Callable, Iterable, Literal, Sequence
 
@@ -85,6 +85,11 @@ def _as_days(days: Sequence[date]) -> np.ndarray:
     return (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
 
 
+def _ascending(days: Sequence[date]) -> bool:
+    """Whether ``days`` are strictly ascending, compared pairwise at C level."""
+    return all(map(operator.lt, days, days[1:]))
+
+
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Dated close prices for one ticker, strictly ascending, all positive.
@@ -142,7 +147,7 @@ class PricePanel:
             raise ValueError(f"close matrix shape {closes.shape} does not match dates x tickers")
         if len(set(self.tickers)) != len(self.tickers):
             raise ValueError("duplicate tickers in panel")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if not _ascending(self.dates):
             raise ValueError("panel dates not strictly increasing")
         if not np.isfinite(closes).all() or (closes <= 0.0).any():
             raise NonPositivePrice("panel contains non-finite or non-positive closes")
@@ -216,16 +221,18 @@ def _read_clean(text: str, pick_columns: ColumnPicker) -> Table | None:
         # lone surrogate, a missing quote to the row loop
         raw = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
         ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+        widths = np.diff(ends, prepend=-1, append=raw.size) - 1  # in bytes, one per field
         if (
             ends.size != len(rows) * n_fields - 1
             or (raw[ends[n_fields - 1 :: n_fields]] != ord("\n")).any()
-            or np.diff(ends, prepend=-1, append=raw.size).max() > limit + 1
+            or widths.max() > limit
         ):
             return None
-        joined = joined.replace("\n", ",")
-        if ",," in joined:  # a blank cell between two commas reads as "nan", the NaN _parse_close gives it
-            joined = joined.replace(",,", ",nan,").replace(",,", ",nan,")
-        cells = joined.split(",")
+        # the separators are ASCII, so field k in bytes is field k of the split; a blank cell reads
+        # as "nan", the NaN _parse_close gives it
+        cells = joined.replace("\n", ",").split(",")
+        for k in np.flatnonzero(widths == 0).tolist():
+            cells[k] = "nan"
         try:
             dates[block] = _as_days(list(map(date.fromisoformat, cells[date_col::n_fields])))
         except ValueError:
@@ -372,18 +379,25 @@ def align_panel(series: list[PriceSeries], policy: AlignmentPolicy = "intersecti
         raise ValueError(f"unknown alignment policy {policy!r}")
 
     tickers = tuple(s.ticker for s in series)
-    if policy == "intersection":
-        # series dates are strictly ascending, hence unique
-        kept = reduce(partial(np.intersect1d, assume_unique=True), (s.dates for s in series))
-        if not kept.size:
-            raise EmptyIntersection(f"no common dates across {', '.join(tickers)}")
-    else:
-        unquoted = [s.ticker for s in series if not s.dates.size]
-        if unquoted:
-            raise EmptyIntersection(f"no quotes for {', '.join(unquoted)}")
-        # a date survives once every ticker has at least one quote on or before it
-        union = np.unique(np.concatenate([s.dates for s in series]))
-        kept = union[union >= max(s.dates[0] for s in series)]
+    unquoted = [s.ticker for s in series if not s.dates.size]
+    if unquoted and policy == "forward_fill":
+        raise EmptyIntersection(f"no quotes for {', '.join(unquoted)}")
+    kept = np.empty(0, dtype="datetime64[D]")
+    if not unquoted:
+        # how many series quote each day from the earliest first date on (series dates are unique)
+        days = [s.dates.view(np.int64) for s in series]
+        origin = min(d[0] for d in days)
+        counts = np.zeros(max(d[-1] for d in days) - origin + 1, dtype=np.min_scalar_type(len(series)))
+        for d in days:
+            counts[d - origin] += 1
+        if policy == "intersection":
+            offsets = np.flatnonzero(counts == len(series))
+        else:  # a date survives once every ticker has at least one quote on or before it
+            start = max(d[0] for d in days) - origin
+            offsets = np.flatnonzero(counts[start:]) + start
+        kept = (offsets + origin).astype("datetime64[D]")
+    if not kept.size:  # forward fill always keeps the latest first date
+        raise EmptyIntersection(f"no common dates across {', '.join(tickers)}")
 
     if kept.size < 2:
         raise InsufficientHistory(f"{kept.size} aligned date(s) across {', '.join(tickers)}, need >= 2")

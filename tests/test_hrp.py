@@ -1,5 +1,6 @@
 import json
 import math
+from collections import deque
 from datetime import date
 
 import numpy as np
@@ -27,6 +28,7 @@ from portlab.hrp import (
     ward_linkage,
 )
 from portlab.returns_stats import (
+    VARIANCE_FLOOR,
     CorrelationMatrix,
     CovarianceMatrix,
     ReturnsMatrix,
@@ -383,6 +385,123 @@ class TestRecursiveBisection:
         cov = CovarianceMatrix(tickers=tickers_for(3), values=np.eye(3))
         with pytest.raises(ValueError):
             recursive_bisection(cov, SeriationOrder((0, 1)))
+
+
+def index_list_bisection(cov, order):
+    """Reference: the breadth-first bisection over index lists that contiguous
+    spans of the seriated covariance replace, with the inverse-variance
+    formula written out. Returns the weights and the degenerate split count."""
+    values = cov.values
+
+    def variance(items):
+        variances = values[items, items]
+        dead = [cov.tickers[i] for i, v in zip(items, variances) if v <= VARIANCE_FLOOR]
+        if dead:
+            raise ZeroVarianceAsset(dead)
+        inverse = 1.0 / variances
+        w = inverse / inverse.sum()
+        return float(w @ values[np.ix_(items, items)] @ w)
+
+    weights = np.ones(len(cov.tickers))
+    queue = deque([list(order.order)])
+    degenerate_splits = 0
+    while queue:
+        items = queue.popleft()
+        if len(items) < 2:
+            continue
+        mid = len(items) // 2
+        left_items, right_items = items[:mid], items[mid:]
+        v_left = max(variance(left_items), 0.0)
+        v_right = max(variance(right_items), 0.0)
+        total = v_left + v_right
+        if total <= VARIANCE_FLOOR:
+            alpha = 0.5
+            degenerate_splits += 1
+        else:
+            alpha = 1.0 - v_left / total
+        weights[left_items] *= alpha
+        weights[right_items] *= 1.0 - alpha
+        queue.append(left_items)
+        queue.append(right_items)
+    return weights, degenerate_splits
+
+
+def assert_bisection_matches_reference(cov, order):
+    """Bitwise-equal weights and split count, or the same ZeroVarianceAsset payload."""
+    try:
+        expected, degenerate_splits = index_list_bisection(cov, order)
+    except ZeroVarianceAsset as dead:
+        with pytest.raises(ZeroVarianceAsset) as caught:
+            recursive_bisection(cov, order)
+        assert caught.value.tickers == dead.tickers
+        return None
+    if not (expected > 0.0).all():  # a half of exactly zero variance took all the mass
+        with pytest.raises(ValueError, match=r"HRP weights must lie in \(0, 1\]"):
+            recursive_bisection(cov, order)
+        return None
+    result = recursive_bisection(cov, order)
+    assert result.weights.tobytes() == expected.tobytes()
+    assert result.metadata["degenerate_splits"] == degenerate_splits
+    return result
+
+
+@st.composite
+def seriated_covariances(draw):
+    """A PSD covariance scale * F F' (+ a diagonal) and a seriation order. Loadings
+    come from a small lattice, so rows repeat or cancel: singular blocks, perfect
+    anticorrelation whose inverse-variance variance is 0 (the alpha = 0.5 branch),
+    and, at the smallest scales, variances at or under the floor."""
+    n = draw(st.integers(2, 24))
+    rank = draw(st.integers(1, n))
+    lattice = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    size = n * rank
+    loadings = np.array(draw(st.lists(lattice, min_size=size, max_size=size))).reshape(n, rank)
+    if draw(st.booleans()):  # general position instead
+        loadings += np.array(draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))).reshape(n, rank)
+    scale = draw(st.sampled_from([1e-17, 1e-16, 1e-14, 1e-8, 1e-4, 1.0, 3.0]))
+    values = scale * (loadings @ loadings.T)
+    if draw(st.booleans()):
+        values += np.diag(draw(st.lists(st.sampled_from([0.0, 1e-16, 1e-9, 1e-4]), min_size=n, max_size=n)))
+    values = (values + values.T) / 2.0
+    order = SeriationOrder(tuple(draw(st.permutations(range(n)))))
+    return CovarianceMatrix(tickers=tickers_for(n), values=values), order
+
+
+class TestBisectionMatchesIndexLists:
+    @settings(deadline=None, max_examples=400)
+    @given(case=seriated_covariances())
+    def test_random_psd_covariances(self, case):
+        assert_bisection_matches_reference(*case)
+
+    def test_wide_sample_covariance(self, rng):
+        # a 200-asset block takes other BLAS kernel paths than the property's small ones
+        returns = returns_matrix(rng.normal(0, 0.01, size=(300, 200)) + rng.normal(0, 0.01, size=(300, 1)))
+        cov = sample_covariance(returns)
+        seriated = quasi_diagonalize(ward_linkage(correlation_distance(correlation(cov))))
+        for order in (seriated, SeriationOrder(tuple(rng.permutation(200).tolist()))):
+            assert assert_bisection_matches_reference(cov, order) is not None
+
+    def test_anticorrelated_pairs_split_evenly(self):
+        # each half is a perfectly anticorrelated pair: both half variances are 0
+        pair = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        cov = CovarianceMatrix(tickers=tickers_for(4), values=1e-6 * np.kron(np.eye(2), pair))
+        result = assert_bisection_matches_reference(cov, SeriationOrder((0, 1, 2, 3)))
+        assert result.metadata["degenerate_splits"] == 1
+        assert result.weights.tolist() == [0.25, 0.25, 0.25, 0.25]
+
+    @pytest.mark.parametrize(
+        "order, dead",
+        [
+            pytest.param((5, 0, 3, 1, 4, 2), ["T05", "T03"], id="left-half-first"),
+            pytest.param((0, 2, 4, 5, 3, 1), ["T05", "T03", "T01"], id="then-right-half"),
+        ],
+    )
+    def test_zero_variance_payload(self, order, dead):
+        cov = CovarianceMatrix(tickers=tickers_for(6), values=np.diag([1.0, 0.0, 1.0, 0.0, 1.0, 1e-16]))
+        with pytest.raises(ZeroVarianceAsset) as caught:
+            recursive_bisection(cov, SeriationOrder(order))
+        assert caught.value.tickers == dead
+        assert_bisection_matches_reference(cov, SeriationOrder(order))
 
 
 class TestBuildHrpPortfolio:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_panel
@@ -443,6 +443,12 @@ BASE_DAY = date(2021, 1, 1).toordinal()
 closes_st = st.floats(min_value=0.01, max_value=1e6, allow_nan=False, allow_infinity=False)
 # a series: distinct day offsets, each with a positive close
 quotes_st = st.dictionaries(st.integers(0, 40), closes_st, max_size=25)
+# offsets anywhere in 0001-01-01..9999-12-31, the ends included, a few near the base day
+FIRST_DAY, LAST_DAY = date.min.toordinal() - BASE_DAY, date.max.toordinal() - BASE_DAY
+far_days_st = st.one_of(
+    st.sampled_from([FIRST_DAY, LAST_DAY]), st.integers(FIRST_DAY, LAST_DAY), st.integers(0, 40)
+)
+far_quotes_st = st.dictionaries(far_days_st, closes_st, max_size=6)
 # a table column: one close or missing-quote token per row
 cells_st = st.one_of(closes_st.map(repr), st.sampled_from(["", "nan", "null", "N/A", "x", "inf"]))
 
@@ -471,9 +477,17 @@ def reference_alignment(members, policy):
 class TestIngestProperties:
     @settings(deadline=None)
     @given(
-        quotes=st.lists(quotes_st.filter(bool), min_size=2, max_size=4),
+        quotes=st.one_of(
+            st.lists(quotes_st.filter(bool), min_size=2, max_size=4),
+            st.lists(far_quotes_st.filter(bool), min_size=2, max_size=4),
+        ),
         policy=st.sampled_from(["intersection", "forward_fill"]),
     )
+    @example(
+        quotes=[{FIRST_DAY: 1.0, LAST_DAY: 2.0}, {FIRST_DAY: 3.0, 0: 4.0, LAST_DAY: 5.0}], policy="intersection"
+    )
+    @example(quotes=[{FIRST_DAY: 1.0, 0: 2.0}, {LAST_DAY - 1: 3.0, LAST_DAY: 4.0}], policy="forward_fill")
+    @example(quotes=[{FIRST_DAY: 1.0}, {1: 2.0, 2: 3.0}, {LAST_DAY: 4.0}], policy="forward_fill")
     def test_align_matches_per_date_reference(self, quotes, policy):
         members = [series_of(f"T{i}", q) for i, q in enumerate(quotes)]
         kept, closes = reference_alignment(members, policy)
@@ -484,6 +498,19 @@ class TestIngestProperties:
         panel = align_panel(members, policy)
         assert panel.dates == tuple(kept)
         assert panel.closes.tolist() == closes
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ("intersection", "no common dates across A, B, C"),
+            ("forward_fill", "no quotes for B"),
+        ],
+    )
+    def test_unquoted_series_message(self, policy, message):
+        members = [series_of("A", {0: 1.0, 1: 2.0}), series_of("B", {}), series_of("C", {0: 3.0, 1: 4.0})]
+        with pytest.raises(EmptyIntersection) as caught:
+            align_panel(members, policy)
+        assert str(caught.value) == message
 
     @settings(deadline=None)
     @given(
@@ -628,10 +655,14 @@ class TestBlockSplit:
 BLOCK_ROWS = (1 << 16) // 2  # rows in one block of a Date,Close text
 
 
-def past_one_block(*late_rows):
-    """A Date,Close text of one block of canonical rows, then ``late_rows``."""
-    days = (date.fromordinal(BASE_DAY - BLOCK_ROWS + i).isoformat() for i in range(BLOCK_ROWS))
-    return "\n".join(["Date,Close", *(f"{d},{i % 97 + 1}.25" for i, d in enumerate(days)), *late_rows, ""])
+def past_one_block(*late_rows, last_close=None):
+    """A Date,Close text of one block of canonical rows, then ``late_rows``;
+    ``last_close`` replaces the close of the block's last row."""
+    days = [date.fromordinal(BASE_DAY - BLOCK_ROWS + i).isoformat() for i in range(BLOCK_ROWS)]
+    rows = [f"{d},{i % 97 + 1}.25" for i, d in enumerate(days)]
+    if last_close is not None:
+        rows[-1] = f"{days[-1]},{last_close}"
+    return "\n".join(["Date,Close", *rows, *late_rows, ""])
 
 
 class TestBlockSplitHazards:
@@ -669,6 +700,54 @@ class TestBlockSplitHazards:
         else:  # the closes kept
             [(_, _, closes)] = loop
             assert np.frombuffer(closes).tolist() == expected
+
+    # blank cells, found by their width in bytes: each text is read by both readers, and one the
+    # block split must read alone (closes kept per series) is read with the row loop switched off
+    @pytest.mark.parametrize(
+        "parse, text, expected",
+        [
+            pytest.param(
+                parse_wide_csv,
+                "Date,A,B\n2021-01-01,1,2\n,3,4\n",
+                (MalformedCsv, "row 3: bad date '' (want YYYY-MM-DD)"),
+                id="blank-date",
+            ),
+            pytest.param(
+                parse_wide_csv,
+                "Date,A,B,C,D\n2021-01-01,1,,,\n2021-01-04,,,,5\n2021-01-05,6,,7,\n",
+                [[1.0, 6.0], [], [7.0], [5.0]],
+                id="run-of-blanks",
+            ),
+            pytest.param(
+                partial(parse_price_csv, ticker="A"),
+                past_one_block("2021-01-01,", "2021-01-04,2.5", last_close=""),
+                [[*(i % 97 + 1.25 for i in range(BLOCK_ROWS - 1)), 2.5]],
+                id="blank-ends-block-and-opens-next",
+            ),
+            pytest.param(
+                parse_wide_csv,
+                "Date,A,B,C\n2021-01-01,１２３.５,,٣\n2021-01-04,,２,\n2021-01-05,1,,3\n",
+                [[123.5, 1.0], [2.0], [3.0, 3.0]],
+                id="blank-beside-multi-byte",
+            ),
+            pytest.param(
+                parse_wide_csv,
+                "Date,A,B\n2021-01-01, ,1\n2021-01-04,2,\t\n2021-01-05,,3\n",
+                [[2.0], [1.0, 3.0]],
+                id="whitespace-only-cell",
+            ),
+        ],
+    )
+    def test_blank_cells_match_row_loop(self, parse, text, expected):
+        with mock.patch.object(market_data, "_read_clean", return_value=None):
+            loop = outcome(partial(parse, text))
+        if isinstance(expected, tuple):
+            assert loop == expected
+            assert outcome(partial(parse, text)) == loop
+            return
+        assert [np.frombuffer(closes).tolist() for _, _, closes in loop] == expected
+        with mock.patch.object(market_data, "_read_rows", side_effect=AssertionError("row loop")):
+            assert outcome(partial(parse, text)) == loop
 
 
 FINITE_ST = st.one_of(

@@ -98,6 +98,35 @@ def test_nan_rejected(build, error):
         build()
 
 
+@pytest.mark.parametrize(
+    "days",
+    [
+        pytest.param((DAYS[0], DAYS[0], DAYS[2]), id="duplicate"),
+        pytest.param((DAYS[1], DAYS[0], DAYS[2]), id="descending"),
+        pytest.param((DAYS[0], DAYS[2], DAYS[1]), id="descending-last"),
+    ],
+)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda days: PricePanel(TICKERS, days, np.ones((3, 3))),
+            "panel dates not strictly increasing",
+            id="PricePanel",
+        ),
+        pytest.param(
+            lambda days: ReturnSeries(days, np.zeros(3)),
+            "series dates not strictly increasing",
+            id="ReturnSeries",
+        ),
+    ],
+)
+def test_unordered_dates_rejected(build, message, days):
+    with pytest.raises(ValueError) as caught:
+        build(days)
+    assert str(caught.value) == message
+
+
 SQUARE_TYPES = [
     pytest.param(CovarianceMatrix, "covariance", EYE, id="CovarianceMatrix"),
     pytest.param(CorrelationMatrix, "correlation", EYE, id="CorrelationMatrix"),

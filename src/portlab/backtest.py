@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import date
 from typing import Any, Mapping
 
 import numpy as np
 
 from .errors import TickerMismatch
-from .market_data import PricePanel, _as_days, _ascending, _csv_text, _dated_csv_text, _frozen
+from .market_data import PricePanel, _csv_text
 from .portfolio import PortfolioWeights
 from .returns_stats import (
     TRADING_DAYS_PER_YEAR,
@@ -36,37 +35,17 @@ class PeriodPerformance:
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    """Dated daily portfolio returns for one method over one period."""
-
-    dates: tuple[date, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        values = _frozen(self, "values")
-        if values.shape != (len(self.dates),):
-            raise ValueError("series values do not match dates")
-        if not _ascending(self.dates):
-            raise ValueError("series dates not strictly increasing")
-        if not np.isfinite(values).all():
-            raise ValueError("series values contain non-finite values")
-
-    def to_csv(self) -> str:
-        return _dated_csv_text(("date", "return"), _as_days(self.dates), self.values)
-
-
-@dataclass(frozen=True)
 class BacktestReport:
     """Per-sector evaluation: {method -> {period -> cells}} plus metadata.
 
-    ``series`` holds the daily return paths behind the cells; deserialized
-    reports carry None there because the JSON schema stores only the cells.
+    ``series`` holds the daily return paths behind the cells, per period one ReturnsMatrix
+    column per method; deserialized reports carry None, as the JSON stores only the cells.
     """
 
     sector: str
     methods: dict[str, dict[str, PeriodPerformance]]
     metadata: dict[str, Any] = field(default_factory=dict)
-    series: dict[str, dict[str, ReturnSeries]] | None = None
+    series: dict[str, ReturnsMatrix] | None = None
 
     def cell(self, method: str, period: str) -> PeriodPerformance:
         return self.methods[method][period]
@@ -104,33 +83,29 @@ def evaluate(
     period_returns = {label: daily_returns(panel) for label, panel in panels.items()}
 
     methods: dict[str, dict[str, PeriodPerformance]] = {}
-    series: dict[str, dict[str, ReturnSeries]] = {}
+    columns: dict[str, list[np.ndarray]] = {label: [] for label in PERIODS}
     provenance: dict[str, Any] = {}
     for method in sorted(weights_by_method):
         weights = weights_by_method[method]
         methods[method] = {}
-        series[method] = {}
         for label in PERIODS:
-            returns = period_returns[label]
-            daily = portfolio_daily_returns(weights, returns)
+            daily = portfolio_daily_returns(weights, period_returns[label])
             metrics = sharpe_ratio(daily, risk_free)
-            methods[method][label] = PeriodPerformance(
-                annual_volatility=metrics.annual_volatility,
-                sharpe_ratio=metrics.sharpe_ratio,
-            )
-            series[method][label] = ReturnSeries(dates=returns.dates, values=daily)
+            methods[method][label] = PeriodPerformance(metrics.annual_volatility, metrics.sharpe_ratio)
+            columns[label].append(daily)
         if weights.metadata:
             provenance[method.lower()] = dict(weights.metadata)
+    series = {
+        label: ReturnsMatrix(tuple(methods), period_returns[label].dates, np.column_stack(columns[label]))
+        for label in PERIODS
+    }
 
     metadata: dict[str, Any] = {
         "risk_free_rate": risk_free,
         "trading_days_per_year": TRADING_DAYS_PER_YEAR,
         "covariance": "sample(ddof=1)",
         "periods": {
-            label: {
-                "start": panel.dates[0].isoformat(),
-                "end": panel.dates[-1].isoformat(),
-            }
+            label: {"start": panel.dates[0].isoformat(), "end": panel.dates[-1].isoformat()}
             for label, panel in panels.items()
         },
     }

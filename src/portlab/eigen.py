@@ -43,27 +43,31 @@ class PCAModel:
     tickers: tuple[str, ...]
     eigenvalues: np.ndarray = field(repr=False)
     loadings: np.ndarray = field(repr=False)
-    explained_ratio: np.ndarray = field(repr=False)
     standardized: bool
 
     def __post_init__(self) -> None:
-        arrays = [_frozen(self, name) for name in ("eigenvalues", "loadings", "explained_ratio")]
+        arrays = [_frozen(self, name) for name in ("eigenvalues", "loadings")]
         if not all(np.isfinite(values).all() for values in arrays):
-            raise ValueError("eigenvalues, loadings and explained ratios must be finite")
+            raise ValueError("eigenvalues and loadings must be finite")
         n = len(self.tickers)
-        if self.eigenvalues.shape != (n,) or self.explained_ratio.shape != (n,):
-            raise ValueError("eigenvalues/explained_ratio must have one entry per ticker")
+        if self.eigenvalues.shape != (n,):
+            raise ValueError("eigenvalues must have one entry per ticker")
         if self.loadings.shape != (n, n):
             raise ValueError(f"loadings shape {self.loadings.shape} != ({n}, {n})")
         if (np.diff(self.eigenvalues) > 1e-12).any():
             raise ValueError("eigenvalues must be sorted nonincreasing")
         if (self.eigenvalues < 0).any():
             raise ValueError("eigenvalues must be >= 0 after clamping")
+        if float(self.eigenvalues.sum()) <= 0.0:
+            raise ValueError("eigenvalues must have a positive sum")
         gram = self.loadings.T @ self.loadings
         if np.abs(gram - np.eye(n)).max() > 1e-9:
             raise ValueError("loading columns must be orthonormal")
-        if abs(float(self.explained_ratio.sum()) - 1.0) > 1e-9:
-            raise ValueError("explained ratios must sum to 1")
+
+    @property
+    def explained_ratio(self) -> np.ndarray:
+        """Each component's share of the total variance: the eigenvalues over their sum."""
+        return self.eigenvalues / float(self.eigenvalues.sum())
 
     @property
     def n_components(self) -> int:
@@ -101,14 +105,12 @@ def fit_pca(matrix: CorrelationMatrix | CovarianceMatrix) -> PCAModel:
     pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
     vectors = vectors * np.where(pivots < 0, -1.0, 1.0)
 
-    total = float(eigenvalues.sum())
-    if total <= 0.0:
+    if float(eigenvalues.sum()) <= 0.0:
         raise ZeroVarianceAsset(list(matrix.tickers), "all assets have zero variance")
     return PCAModel(
         tickers=matrix.tickers,
         eigenvalues=eigenvalues,
         loadings=vectors,
-        explained_ratio=eigenvalues / total,
         standardized=isinstance(matrix, CorrelationMatrix),
     )
 

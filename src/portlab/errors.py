@@ -32,7 +32,8 @@ class InsufficientObservations(PortlabError):
 
 
 class ZeroVarianceAsset(PortlabError):
-    """An asset's return variance is at or below the numerical floor."""
+    """An asset's return variance is at or below the numerical floor, or an HRP
+    cluster's inverse-variance portfolio is riskless beside the other half."""
 
     def __init__(self, tickers: str | list[str], message: str | None = None) -> None:
         names = [tickers] if isinstance(tickers, str) else list(tickers)

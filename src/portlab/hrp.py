@@ -258,7 +258,8 @@ def recursive_bisection(
     a contiguous span of that block; the weights are scattered back to the
     covariance's ticker order at the end. A direct call with a dead asset
     raises ZeroVarianceAsset for the dead tickers of the first split's left
-    half, or failing that of its right half, in seriation order.
+    half, or failing that of its right half, in seriation order. So does a
+    split whose alpha comes out exactly 0 or 1, naming the riskless half.
     """
     if len(order.order) != len(cov.tickers):  # SeriationOrder is already a permutation
         raise ValueError("seriation order does not cover the covariance tickers")
@@ -282,6 +283,11 @@ def recursive_bisection(
             degenerate_splits += 1
         else:
             alpha = 1.0 - v_left / total
+            if alpha in (0.0, 1.0):  # one half's variance is 0 or negligible beside the other's
+                riskless = list(labels[mid:stop] if alpha == 0.0 else labels[start:mid])
+                raise ZeroVarianceAsset(
+                    riskless, f"riskless cluster {', '.join(riskless)}: the other half would get no weight"
+                )
         weights[start:mid] *= alpha
         weights[mid:stop] *= 1.0 - alpha
         spans += ((mid, stop), (start, mid))

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .errors import InsufficientObservations, ZeroVarianceAsset, ZeroVolatility
-from .market_data import PricePanel, _frozen
+from .market_data import PricePanel, _ascending, _frozen
 
 TRADING_DAYS_PER_YEAR = 250
 VARIANCE_FLOOR = 1e-16  # in return^2 units; below it an asset is rejected
@@ -40,7 +40,7 @@ def _square_matrix(instance: Any, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReturnsMatrix:
-    """(T-1) x N simple daily returns; each row stamped with the later day."""
+    """T x N simple daily returns of named assets or portfolios; each row stamped with the later day."""
 
     tickers: tuple[str, ...]
     dates: tuple[date, ...]
@@ -50,6 +50,8 @@ class ReturnsMatrix:
         values = _frozen(self, "values")
         if values.shape != (len(self.dates), len(self.tickers)):
             raise ValueError(f"returns shape {values.shape} does not match dates x tickers")
+        if not _ascending(self.dates):
+            raise ValueError("returns dates not strictly increasing")
         if not np.isfinite(values).all():
             raise ValueError("returns contain non-finite values")
 

@@ -24,6 +24,9 @@ DEFAULT_START = date(2016, 1, 1)
 DEFAULT_END = date(2021, 11, 1)
 DEFAULT_TRAIN_END = date(2020, 12, 31)
 DEFAULT_TEST_START = date(2021, 1, 1)
+BLOCK_SIZE = 5  # assets per factor block
+DAILY_VOL = 0.015
+DRIFT = 0.0004
 
 
 def weekday_range(start: date, end: date) -> tuple[date, ...]:
@@ -38,31 +41,24 @@ def weekday_range(start: date, end: date) -> tuple[date, ...]:
     return tuple(days)
 
 
-def synthetic_panel(
-    tickers: list[str],
-    dates: tuple[date, ...],
-    seed: int,
-    block_size: int = 5,
-    daily_vol: float = 0.015,
-    drift: float = 0.0004,
-) -> PricePanel:
+def synthetic_panel(tickers: list[str], dates: tuple[date, ...], seed: int) -> PricePanel:
     """Correlated geometric random-walk closes for the given tickers.
 
-    Assets are grouped into blocks of ``block_size``; names in one block load
+    Assets are grouped into blocks of ``BLOCK_SIZE``; names in one block load
     on a shared factor, so within-block correlation is high and across-block
     correlation is near zero.
     """
     rng = np.random.default_rng(seed)
     n_assets = len(tickers)
     n_days = len(dates)
-    n_blocks = max(1, -(-n_assets // block_size))
+    n_blocks = max(1, -(-n_assets // BLOCK_SIZE))
 
     factors = rng.normal(0.0, 1.0, size=(n_days - 1, n_blocks))
     noise = rng.normal(0.0, 1.0, size=(n_days - 1, n_assets))
     loading = 0.85
-    block_of = np.arange(n_assets) // block_size
+    block_of = np.arange(n_assets) // BLOCK_SIZE
     mix = loading * factors[:, block_of] + np.sqrt(1.0 - loading**2) * noise
-    returns = drift + daily_vol * mix
+    returns = DRIFT + DAILY_VOL * mix
 
     start_prices = rng.uniform(50.0, 5000.0, size=n_assets)
     closes = np.empty((n_days, n_assets))
@@ -82,15 +78,13 @@ def write_fixture(
     n_sectors: int = 7,
     tickers_per_sector: int = 10,
     seed: int = 7,
-    start: date = DEFAULT_START,
-    end: date = DEFAULT_END,
 ) -> Path:
     """Write per-ticker CSV trees for every sector plus a config.json.
 
     Returns the path of the written config file.
     """
     root = Path(root)
-    dates = weekday_range(start, end)
+    dates = weekday_range(DEFAULT_START, DEFAULT_END)
     sectors = []
     for s in range(n_sectors):
         name = f"sector{s + 1}"
@@ -104,8 +98,8 @@ def write_fixture(
 
     config = {
         "sectors": sectors,
-        "train": {"start": start.isoformat(), "end": DEFAULT_TRAIN_END.isoformat()},
-        "test": {"start": DEFAULT_TEST_START.isoformat(), "end": end.isoformat()},
+        "train": {"start": DEFAULT_START.isoformat(), "end": DEFAULT_TRAIN_END.isoformat()},
+        "test": {"start": DEFAULT_TEST_START.isoformat(), "end": DEFAULT_END.isoformat()},
         "risk_free_rate": 0.0,
         "alignment": "intersection",
         "hrp": {"distance": "sqrt_half", "linkage": "ward"},

@@ -21,7 +21,7 @@ from portlab.backtest import (
 from portlab.errors import TickerMismatch
 from portlab.market_data import PeriodSpec, slice_period
 from portlab.portfolio import PortfolioWeights
-from portlab.returns_stats import daily_returns, sample_covariance, sharpe_ratio
+from portlab.returns_stats import ReturnsMatrix, daily_returns, sample_covariance, sharpe_ratio
 
 
 def weights_of(values, tickers, method="HRP"):
@@ -133,9 +133,25 @@ class TestEvaluate:
 
     def test_series_lengths_match_periods(self, rng):
         train, test = split_panels(rng)
-        report = evaluate({"HRP": weights_of([0.25] * 4, train.tickers)}, train, test)
-        assert len(report.series["HRP"]["train"].values) == train.n_dates - 1
-        assert len(report.series["HRP"]["test"].values) == test.n_dates - 1
+        weights = {
+            "HRP": weights_of([0.25] * 4, train.tickers),
+            "EIGEN": weights_of([0.7, -0.2, 0.3, 0.2], train.tickers, method="EIGEN"),
+        }
+        report = evaluate(weights, train, test, risk_free=0.01)
+        assert set(report.series) == {"train", "test"}
+        for label, panel in (("train", train), ("test", test)):
+            returns = daily_returns(panel)
+            series = report.series[label]
+            assert isinstance(series, ReturnsMatrix)
+            assert series.tickers == ("EIGEN", "HRP")
+            assert series.dates == returns.dates
+            assert series.values.shape == (panel.n_dates - 1, 2)
+            for j, method in enumerate(series.tickers):
+                column = series.values[:, j]
+                assert column.tobytes() == portfolio_daily_returns(weights[method], returns).tobytes()
+                metrics = sharpe_ratio(column, 0.01)
+                cell = report.cell(method, label)
+                assert (cell.annual_volatility, cell.sharpe_ratio) == (metrics.annual_volatility, metrics.sharpe_ratio)
 
     def test_volatility_consistent_with_quadratic_form(self, rng):
         train, test = split_panels(rng)

@@ -56,7 +56,6 @@ def model_from(eigenvalues, loadings, tickers=None):
         tickers=tickers or tuple(f"T{i}" for i in range(len(eigenvalues))),
         eigenvalues=eigenvalues,
         loadings=np.asarray(loadings, dtype=float),
-        explained_ratio=eigenvalues / eigenvalues.sum(),
         standardized=True,
     )
 
@@ -241,11 +240,12 @@ class TestPCAModelInvariants:
             model_from([0.8, 0.2], [[2.0, 0.0], [0.0, 1.0]])
 
     def test_rejects_bad_ratio_sum(self):
-        with pytest.raises(ValueError):
-            PCAModel(
-                tickers=("A", "B"),
-                eigenvalues=np.array([1.0, 1.0]),
-                loadings=np.eye(2),
-                explained_ratio=np.array([0.9, 0.9]),
-                standardized=False,
-            )
+        # all-zero eigenvalues leave no ratios that sum to 1
+        with pytest.raises(ValueError, match="^eigenvalues must have a positive sum$"):
+            PCAModel(tickers=("A", "B"), eigenvalues=np.zeros(2), loadings=np.eye(2), standardized=False)
+
+    def test_ratios_follow_eigenvalues(self):
+        # ratios are not an input: (1/3, 1/3, 1/3) beside eigenvalues (2, 1, 0) cannot be stated
+        model = model_from([2.0, 1.0, 0.0], np.eye(3))
+        assert model.explained_ratio.tolist() == [2 / 3, 1 / 3, 0.0]
+        assert min_components_for_variance(model, 0.8) == 2

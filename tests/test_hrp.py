@@ -390,7 +390,9 @@ class TestRecursiveBisection:
 def index_list_bisection(cov, order):
     """Reference: the breadth-first bisection over index lists that contiguous
     spans of the seriated covariance replace, with the inverse-variance
-    formula written out. Returns the weights and the degenerate split count."""
+    formula written out. Returns the weights, the degenerate split count and
+    the tickers of every riskless half: one whose split gave the other half
+    no weight (alpha exactly 0 or 1)."""
     values = cov.values
 
     def variance(items):
@@ -405,6 +407,7 @@ def index_list_bisection(cov, order):
     weights = np.ones(len(cov.tickers))
     queue = deque([list(order.order)])
     degenerate_splits = 0
+    riskless = []
     while queue:
         items = queue.popleft()
         if len(items) < 2:
@@ -419,26 +422,31 @@ def index_list_bisection(cov, order):
             degenerate_splits += 1
         else:
             alpha = 1.0 - v_left / total
+        if alpha in (0.0, 1.0):
+            riskless.append([cov.tickers[i] for i in (right_items if alpha == 0.0 else left_items)])
         weights[left_items] *= alpha
         weights[right_items] *= 1.0 - alpha
         queue.append(left_items)
         queue.append(right_items)
-    return weights, degenerate_splits
+    return weights, degenerate_splits, riskless
 
 
 def assert_bisection_matches_reference(cov, order):
-    """Bitwise-equal weights and split count, or the same ZeroVarianceAsset payload."""
+    """Bitwise-equal weights and split count, or the same ZeroVarianceAsset payload
+    for a dead asset, or ZeroVarianceAsset naming one of the riskless halves."""
     try:
-        expected, degenerate_splits = index_list_bisection(cov, order)
+        expected, degenerate_splits, riskless = index_list_bisection(cov, order)
     except ZeroVarianceAsset as dead:
         with pytest.raises(ZeroVarianceAsset) as caught:
             recursive_bisection(cov, order)
         assert caught.value.tickers == dead.tickers
         return None
-    if not (expected > 0.0).all():  # a half of exactly zero variance took all the mass
-        with pytest.raises(ValueError, match=r"HRP weights must lie in \(0, 1\]"):
+    if riskless:  # a half of zero or negligible variance took all the mass
+        with pytest.raises(ZeroVarianceAsset, match="the other half would get no weight") as caught:
             recursive_bisection(cov, order)
+        assert caught.value.tickers in riskless  # the two walks may meet a different one first
         return None
+    assert (expected > 0.0).all()
     result = recursive_bisection(cov, order)
     assert result.weights.tobytes() == expected.tobytes()
     assert result.metadata["degenerate_splits"] == degenerate_splits
@@ -488,6 +496,16 @@ class TestBisectionMatchesIndexLists:
         result = assert_bisection_matches_reference(cov, SeriationOrder((0, 1, 2, 3)))
         assert result.metadata["degenerate_splits"] == 1
         assert result.weights.tolist() == [0.25, 0.25, 0.25, 0.25]
+
+    def test_riskless_half_named(self):
+        # the right half's inverse-variance portfolio offsets exactly: variance 0, so alpha is 0
+        loadings = 1e-7 * np.array([2, 2, 2, 2, 2, 2, 2, 2, -0.5])
+        cov = CovarianceMatrix(tickers=tickers_for(9), values=np.outer(loadings, loadings))
+        with pytest.raises(ZeroVarianceAsset) as caught:
+            recursive_bisection(cov, SeriationOrder(tuple(range(9))))
+        assert caught.value.tickers == ["T04", "T05", "T06", "T07", "T08"]
+        assert str(caught.value) == "riskless cluster T04, T05, T06, T07, T08: the other half would get no weight"
+        assert_bisection_matches_reference(cov, SeriationOrder(tuple(range(9))))
 
     @pytest.mark.parametrize(
         "order, dead",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import make_panel
 from portlab import market_data
-from portlab.backtest import ReturnSeries
 from portlab.errors import (
     DuplicateDate,
     EmptyIntersection,
@@ -22,12 +21,15 @@ from portlab.market_data import (
     PeriodSpec,
     PricePanel,
     PriceSeries,
+    _as_days,
     _csv_text,
+    _dated_csv_text,
     align_panel,
     parse_price_csv,
     parse_wide_csv,
     slice_period,
 )
+from portlab.returns_stats import ReturnsMatrix
 from portlab.synthetic import synthetic_panel, weekday_range
 
 
@@ -761,12 +763,14 @@ class TestDatedCsv:
     @given(days=st.lists(st.dates(), unique=True).map(sorted), data=st.data())  # 0001-01-01..9999-12-31
     def test_series_writers_equal_csv_writer(self, days, data):
         values = data.draw(st.lists(FINITE_ST, min_size=len(days), max_size=len(days)))
-        returns = ReturnSeries(tuple(days), np.array(values))
-        assert returns.to_csv() == _csv_text(("date", "return"), zip(days, values))
+        # a returns_*.csv is one column of a period's ReturnsMatrix, a strided view
+        matrix = ReturnsMatrix(("A", "B"), tuple(days), np.column_stack([np.zeros(len(days)), values]))
+        returns = _dated_csv_text(("date", "return"), _as_days(matrix.dates), matrix.values[:, 1])
+        assert returns == _csv_text(("date", "return"), zip(days, values))
         closes = [abs(v) or 5e-324 for v in values]
         prices = PriceSeries("A", dates=days, closes=closes)
         assert prices.to_csv() == _csv_text(("Date", "Close"), zip(days, closes))
 
     def test_empty_series_is_the_header_line(self):
-        assert ReturnSeries((), np.empty(0)).to_csv() == "date,return\n"
+        assert _dated_csv_text(("date", "return"), _as_days(()), np.empty(0)) == "date,return\n"
         assert PriceSeries("A", dates=[], closes=[]).to_csv() == "Date,Close\n"

@@ -11,7 +11,6 @@ from datetime import date
 import numpy as np
 import pytest
 
-from portlab.backtest import ReturnSeries
 from portlab.eigen import PCAModel
 from portlab.errors import MalformedTree
 from portlab.hrp import DistanceMatrix, LinkageTree, Merge
@@ -32,9 +31,8 @@ VALUE_TYPES = [
     pytest.param(lambda: CovarianceMatrix(TICKERS, EYE), id="CovarianceMatrix"),
     pytest.param(lambda: CorrelationMatrix(TICKERS, EYE), id="CorrelationMatrix"),
     pytest.param(lambda: DistanceMatrix(TICKERS, 1.0 - EYE), id="DistanceMatrix"),
-    pytest.param(lambda: PCAModel(TICKERS, np.ones(3), EYE, THIRDS, standardized=True), id="PCAModel"),
+    pytest.param(lambda: PCAModel(TICKERS, np.ones(3), EYE, standardized=True), id="PCAModel"),
     pytest.param(lambda: PortfolioWeights(TICKERS, THIRDS, "HRP"), id="PortfolioWeights"),
-    pytest.param(lambda: ReturnSeries(DAYS, np.zeros(3)), id="ReturnSeries"),
 ]
 
 
@@ -71,21 +69,20 @@ def with_nan(values, index):
             id="CorrelationMatrix",
         ),
         pytest.param(
-            lambda: PCAModel(TICKERS, with_nan(np.ones(3), 1), EYE, THIRDS, standardized=True),
+            lambda: PCAModel(TICKERS, with_nan(np.ones(3), 1), EYE, standardized=True),
             ValueError,
             id="PCAModel-eigenvalues",
         ),
         pytest.param(
-            lambda: PCAModel(TICKERS, np.ones(3), with_nan(EYE, (0, 1)), THIRDS, standardized=True),
+            lambda: PCAModel(TICKERS, np.ones(3), with_nan(EYE, (0, 1)), standardized=True),
             ValueError,
             id="PCAModel-loadings",
         ),
         pytest.param(
-            lambda: PCAModel(TICKERS, np.ones(3), EYE, with_nan(THIRDS, 2), standardized=True),
+            lambda: ReturnsMatrix(TICKERS, DAYS, with_nan(np.zeros((3, 3)), (1, 2))),
             ValueError,
-            id="PCAModel-explained_ratio",
+            id="ReturnsMatrix",
         ),
-        pytest.param(lambda: ReturnSeries(DAYS, [0.01, NAN, 0.02]), ValueError, id="ReturnSeries"),
         pytest.param(
             lambda: LinkageTree(3, (Merge(0, 1, NAN, 2), Merge(2, 3, 1.0, 3))),
             MalformedTree,
@@ -115,9 +112,9 @@ def test_nan_rejected(build, error):
             id="PricePanel",
         ),
         pytest.param(
-            lambda days: ReturnSeries(days, np.zeros(3)),
-            "series dates not strictly increasing",
-            id="ReturnSeries",
+            lambda days: ReturnsMatrix(TICKERS, days, np.zeros((3, 3))),
+            "returns dates not strictly increasing",
+            id="ReturnsMatrix",
         ),
     ],
 )

@@ -79,6 +79,8 @@ def evaluate(
     extra_metadata: Mapping[str, Any] | None = None,
 ) -> BacktestReport:
     """Backtest every method's weights on both periods and fill the report."""
+    if not weights_by_method:
+        raise ValueError("weights_by_method is empty: evaluate needs at least one method's weights")
     panels = {"train": train, "test": test}
     period_returns = {label: daily_returns(panel) for label, panel in panels.items()}
 

@@ -219,7 +219,8 @@ def run_experiment(
     Each sector builds its weights, or reads the ones exported under
     ``weights_dir/<sector>/`` when given. Sectors run one at a time, in
     config order; a failing sector is recorded and the others still run.
-    Returns the exit status and per-sector results.
+    Returns the exit status and per-sector results, plus one for sector ""
+    when the root files cannot be written.
     """
     sectors = list(config.sectors)
     if sector_filter is not None:
@@ -240,8 +241,11 @@ def run_experiment(
     failures = [r.failure.as_dict() for r in results if r.failure is not None]
     if failures:
         files["errors.json"] = json.dumps(failures, indent=2, sort_keys=True) + "\n"
-    _write_files(out_dir, ARTIFACTS["root"], files)
-    return (EXIT_PARTIAL if failures else EXIT_OK), results
+    try:
+        _write_files(out_dir, ARTIFACTS["root"], files)
+    except OSError as cause:  # e.g. the output directory is a regular file
+        results.append(SectorResult("", failure=SectorFailure("", "write", str(out_dir), str(cause))))
+    return (EXIT_PARTIAL if any(r.failure for r in results) else EXIT_OK), results
 
 
 def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:

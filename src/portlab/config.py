@@ -230,7 +230,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as bad:
         raise ConfigError([f"cannot read config {path}: {bad}"]) from bad
-    except ValueError as bad:  # JSONDecodeError, undecodable bytes, integers over 4,300 digits
+    except (ValueError, RecursionError) as bad:  # bad syntax or bytes, integers over 4,300 digits, deep nesting
         raise ConfigError([f"config {path} is not valid JSON: {bad}"]) from bad
     return validate_config(raw)
 

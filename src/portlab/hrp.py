@@ -21,6 +21,7 @@ from typing import Any, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .errors import MalformedTree, ZeroVarianceAsset
+from .market_data import _frozen
 from .portfolio import PortfolioWeights
 from .returns_stats import VARIANCE_FLOOR, CorrelationMatrix, CovarianceMatrix, _square_matrix
 
@@ -42,48 +43,37 @@ class DistanceMatrix:
             raise ValueError("distance diagonal must be exactly 0")
 
 
-class Merge(NamedTuple):
-    """One agglomeration step: children ids, merge height, merged leaf count."""
-
-    left_id: int
-    right_id: int
-    height: float
-    size: int
-
-
 @dataclass(frozen=True)
 class LinkageTree:
-    """N-1 merges over leaf ids 0..N-1; merge k creates cluster id N+k."""
+    """scipy's (N-1) x 4 linkage matrix over leaves 0..N-1: row k merges ``left_id <
+    right_id`` at ``height`` into cluster N+k of ``size`` leaves. The rows consume each
+    id below 2N-2 once, so the size rule alone makes the root hold all N leaves."""
 
     n_leaves: int
-    rows: tuple[Merge, ...]
+    rows: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        n = self.n_leaves
-        if len(self.rows) != n - 1:
-            raise MalformedTree(f"{len(self.rows)} rows for {n} leaves, expected {n - 1}")
-        sizes = {leaf: 1 for leaf in range(n)}
-        consumed: set[int] = set()
-        previous_height = 0.0
-        for k, row in enumerate(self.rows):
-            for child in (row.left_id, row.right_id):
-                if child not in sizes:
-                    raise MalformedTree(f"row {k}: dangling child id {child}")
-                if child in consumed:
-                    raise MalformedTree(f"row {k}: child id {child} consumed twice")
-                consumed.add(child)
-            if row.left_id >= row.right_id:
-                raise MalformedTree(f"row {k}: children not ordered left < right")
-            if not np.isfinite(row.height):
-                raise MalformedTree(f"row {k}: height {row.height} is not finite")
-            if row.height < previous_height - 1e-9 * max(1.0, abs(previous_height)):
-                raise MalformedTree(f"row {k}: height {row.height} below previous {previous_height}")
-            if row.size != sizes[row.left_id] + sizes[row.right_id]:
-                raise MalformedTree(f"row {k}: size {row.size} != sum of children sizes")
-            sizes[n + k] = row.size
-            previous_height = max(previous_height, row.height)
-        if self.rows and self.rows[-1].size != n:
-            raise MalformedTree(f"root size {self.rows[-1].size} != {n} leaves")
+        n, rows = self.n_leaves, _frozen(self, "rows")
+        if rows.shape != (n - 1, 4):
+            raise MalformedTree(f"rows shape {rows.shape} for {n} leaves, expected ({n - 1}, 4)")
+        children, height, size = rows[:, :2], rows[:, 2], rows[:, 3]
+        with np.errstate(all="ignore"):  # nan and inf in a faulty row would warn; the rules flag that row
+            dangling = ~((children >= 0) & (children < n + np.arange(n - 1)[:, None]) & (children % 1 == 0))
+            ids = np.where(dangling, 0, children).astype(np.intp)  # its row reports dangling first
+            _, first, inverse = np.unique(ids.ravel(), return_index=True, return_inverse=True)
+            previous = np.maximum.accumulate(np.r_[0.0, height])[:-1]
+            rules = {
+                "dangling child id": dangling.any(axis=1),
+                "child id consumed twice": (first[inverse] != np.arange(ids.size)).reshape(-1, 2).any(axis=1),
+                "children not ordered left < right": ~(children[:, 0] < children[:, 1]),
+                "height is not finite": ~np.isfinite(height),
+                "height below previous maximum": height < previous - 1e-9 * np.maximum(1.0, previous),
+                "size != sum of children sizes": size != np.r_[np.ones(n), size][ids].sum(axis=1),
+            }
+        faults = np.argwhere(np.array(list(rules.values())).T)  # (row, rule) pairs, first row first
+        if len(faults):
+            k, rule = faults[0]
+            raise MalformedTree(f"row {k} {rows[k].tolist()}: {list(rules)[rule]}")
 
     @property
     def root_id(self) -> int:
@@ -157,14 +147,14 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
     mind = above[ids, nn]
     del above  # a second n x n array held through the loop raises peak memory
     id_bound = 2 * n - 1  # above every cluster id
-    rows: list[Merge] = []
+    rows = np.empty((n - 1, 4))
 
     for step in range(n - 1):
         i = int(np.where(mind == mind.min(), ids, id_bound).argmin())
         j = int(nn[i])
         height = d[i, j]
         merged_size = int(sizes[i] + sizes[j])
-        rows.append(Merge(int(ids[i]), int(ids[j]), float(height), merged_size))
+        rows[step] = ids[i], ids[j], height, merged_size
 
         # every slot at once: retired slots hold inf and come out inf
         d_ik, d_jk = d[i], d[j]
@@ -194,7 +184,7 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
         mind[stale] = rescan.min(axis=1)
         nn[stale] = np.where(rescan == mind[stale, None], ids, id_bound).argmin(axis=1)
 
-    return LinkageTree(n_leaves=n, rows=tuple(rows))
+    return LinkageTree(n_leaves=n, rows=rows)
 
 
 def quasi_diagonalize(tree: LinkageTree) -> SeriationOrder:
@@ -203,15 +193,16 @@ def quasi_diagonalize(tree: LinkageTree) -> SeriationOrder:
     This puts similar assets next to each other, concentrating large
     covariance entries near the diagonal of the reordered matrix.
     """
+    n, children = tree.n_leaves, tree.rows[:, :2].astype(int).tolist()
     order: list[int] = []
     stack = [tree.root_id]
     while stack:
         node = stack.pop()
-        if node < tree.n_leaves:
+        if node < n:
             order.append(node)
         else:
-            row = tree.rows[node - tree.n_leaves]
-            stack.extend((row.right_id, row.left_id))
+            left, right = children[node - n]
+            stack += (right, left)
     return SeriationOrder(order=tuple(order))
 
 
@@ -334,6 +325,7 @@ def dendrogram_json(tree: LinkageTree, tickers: Sequence[str]) -> str:
     n = tree.n_leaves
     if len(tickers) != n:
         raise ValueError(f"{len(tickers)} labels for {n} leaves")
+    children, heights = tree.rows[:, :2].astype(int).tolist(), tree.rows[:, 2].tolist()  # Python floats repr bare
     parts: list[str] = []
     stack: list[str | tuple[int, int]] = [(tree.root_id, 0)]  # text to emit, or (node id, depth)
     while stack:
@@ -348,10 +340,10 @@ def dendrogram_json(tree: LinkageTree, tickers: Sequence[str]) -> str:
             ticker = encode_basestring_ascii(tickers[node])
             parts.append(f'{{{pad}"height": 0.0,{pad}"id": {node},{pad}"ticker": {ticker}{close}')
             continue
-        row = tree.rows[node - n]
+        left, right = children[node - n]
         child_pad = pad + "  "
         parts.append(f'{{{pad}"children": [{child_pad}')
         # popped in reverse: left child, separator, right child, then this node's other keys
-        stack.append(f'{pad}],{pad}"height": {float.__repr__(row.height)},{pad}"id": {node}{close}')
-        stack.extend(((row.right_id, depth + 2), f",{child_pad}", (row.left_id, depth + 2)))
+        stack.append(f'{pad}],{pad}"height": {heights[node - n]!r},{pad}"id": {node}{close}')
+        stack.extend(((right, depth + 2), f",{child_pad}", (left, depth + 2)))
     return "".join(parts) + "\n"

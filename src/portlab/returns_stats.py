@@ -53,7 +53,8 @@ class ReturnsMatrix:
         if not _ascending(self.dates):
             raise ValueError("returns dates not strictly increasing")
         if not np.isfinite(values).all():
-            raise ValueError("returns contain non-finite values")
+            day, asset = np.argwhere(~np.isfinite(values))[0]
+            raise ValueError(f"returns contain non-finite values: {self.tickers[asset]} on {self.dates[day]}")
 
     @property
     def n_obs(self) -> int:
@@ -105,7 +106,8 @@ class RiskMetrics:
 def daily_returns(panel: PricePanel) -> ReturnsMatrix:
     """Percentage change between successive closes: r[t] = c[t+1]/c[t] - 1."""
     closes = panel.closes
-    values = closes[1:] / closes[:-1] - 1.0
+    with np.errstate(over="ignore"):  # ReturnsMatrix names the ticker and day that overflowed
+        values = closes[1:] / closes[:-1] - 1.0
     return ReturnsMatrix(tickers=panel.tickers, dates=panel.dates[1:], values=values)
 
 

@@ -118,3 +118,29 @@ def ward_centroid_heights(points: np.ndarray, merges) -> list[float]:
         heights.append(math.sqrt(factor) * float(np.linalg.norm(centroid_a - centroid_b)))
         members[n + step] = group_a + group_b
     return heights
+
+
+def first_malformed_row(n: int, rows) -> tuple[int, str] | None:
+    """The first row a linkage matrix over ``n`` leaves breaks, and its first
+    broken rule in ``LinkageTree``'s order, found one row and one Python
+    comparison at a time; None for a valid matrix."""
+    sizes = {leaf: 1 for leaf in range(n)}
+    consumed: set[float] = set()
+    previous = 0.0
+    for k, (left, right, height, size) in enumerate(rows):
+        children = (left, right)
+        rules = [
+            ("dangling child id", any(child not in sizes for child in children)),
+            ("child id consumed twice", left == right or any(child in consumed for child in children)),
+            ("children not ordered left < right", not left < right),
+            ("height is not finite", not math.isfinite(height)),
+            ("height below previous maximum", height < previous - 1e-9 * max(1.0, previous)),
+            ("size != sum of children sizes", size != sizes.get(left, 0) + sizes.get(right, 0)),
+        ]
+        broken = [rule for rule, fails in rules if fails]
+        if broken:
+            return k, broken[0]
+        consumed.update(children)
+        sizes[n + k] = size
+        previous = max(previous, height)
+    return None

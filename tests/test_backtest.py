@@ -131,6 +131,11 @@ class TestEvaluate:
         assert report.cell("HRP", "train") == report.cell("EIGEN", "train")
         assert report.cell("HRP", "test") == report.cell("EIGEN", "test")
 
+    def test_no_methods_rejected_by_name(self, rng):
+        train, test = split_panels(rng)
+        with pytest.raises(ValueError, match="^weights_by_method is empty"):
+            evaluate({}, train, test)
+
     def test_series_lengths_match_periods(self, rng):
         train, test = split_panels(rng)
         weights = {

@@ -562,9 +562,11 @@ class TestMainEntry:
         assert "sectors[0] (../escape).name" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
-    # reading or decoding these raises a ValueError that is not a JSONDecodeError
+    # reading or decoding these raises an error that is not a JSONDecodeError
     @pytest.mark.parametrize(
-        "content", [b"1" * 5000, b'{"output_dir": "\xff"}'], ids=["long-integer", "not-utf8"]
+        "content",
+        [b"1" * 5000, b'{"output_dir": "\xff"}', b"[" * 100_000],
+        ids=["long-integer", "not-utf8", "deep-nesting"],
     )
     def test_undecodable_config_exit_two(self, tmp_path, capsys, content):
         path = tmp_path / "config.json"
@@ -665,6 +667,18 @@ class TestOutputTree:
             expected = ("sector1", "ingest", str(tmp_path / "data" / "sector1"))
         assert [(e["sector"], e["stage"], e["file"]) for e in errors] == [expected]
         assert (out / "sector2" / "report.json").exists() and (out / "summary.json").exists()
+
+    def test_out_naming_a_file_reports_every_write(self, run, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert run("run", "--out", str(out)) == EXIT_PARTIAL
+        errors = json.loads(capsys.readouterr().err)
+        assert [(e["sector"], e["stage"], e["file"]) for e in errors] == [
+            ("sector1", "write", str(out / "sector1")),
+            ("sector2", "write", str(out / "sector2")),
+            ("", "write", str(out)),
+        ]
+        assert out.read_text() == "not a directory\n"
 
 
 class TestWideFormatConfig:

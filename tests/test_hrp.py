@@ -6,17 +6,16 @@ from datetime import date
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import two_block_returns
-from oracles import brute_force_ward, closed_form_ivp, ward_centroid_heights
+from oracles import brute_force_ward, closed_form_ivp, first_malformed_row, ward_centroid_heights
 from portlab.config import validate_config
 from portlab.errors import ConfigError, MalformedTree, ZeroVarianceAsset
 from portlab.hrp import (
     DistanceMatrix,
     LinkageTree,
-    Merge,
     SeriationOrder,
     build_hrp_portfolio,
     cluster_variance,
@@ -66,10 +65,6 @@ def correlated_returns(rng, n_obs=260, n_assets=8):
     return returns_matrix(base)
 
 
-def linkage_as_scipy(tree):
-    return np.array([[r.left_id, r.right_id, r.height, r.size] for r in tree.rows], dtype=float)
-
-
 def full_scan_linkage(values, method="ward"):
     """Reference: one argmin over the compacted, id-ordered matrix per merge.
 
@@ -111,7 +106,8 @@ def full_scan_linkage(values, method="ward"):
 
 
 def exact_rows(rows):
-    return [(left, right, float(height).hex(), size) for left, right, height, size in rows]
+    """The rows' bit patterns: equal only when every float matches to the last bit, sign of zero included."""
+    return np.asarray(rows, dtype=float).view(np.uint64)
 
 
 class TestCorrelationDistance:
@@ -144,25 +140,20 @@ class TestCorrelationDistance:
 class TestWardLinkage:
     def test_two_assets_single_row(self):
         tree = ward_linkage(distance_from([[0.0, 0.3], [0.3, 0.0]]))
-        assert tree.rows == (Merge(0, 1, 0.3, 2),)
+        assert np.array_equal(tree.rows, [[0, 1, 0.3, 2]])
 
     def test_three_asset_hand_computation(self):
         # closest pair (0,2) at 1; then d(merged,1) = sqrt((2*25 + 2*16 - 1)/3) = sqrt(27)
         values = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 4.0], [1.0, 4.0, 0.0]])
         tree = ward_linkage(distance_from(values))
-        assert tree.rows[0] == Merge(0, 2, 1.0, 2)
-        assert tree.rows[1].left_id == 1 and tree.rows[1].right_id == 3
-        assert tree.rows[1].height == pytest.approx(math.sqrt(27.0), abs=1e-12)
-        assert tree.rows[1].size == 3
+        assert np.array_equal(tree.rows[0], [0, 2, 1.0, 2])
+        assert np.array_equal(tree.rows[1, [0, 1, 3]], [1, 3, 3])
+        assert tree.rows[1, 2] == pytest.approx(math.sqrt(27.0), abs=1e-12)
 
     @pytest.mark.parametrize("method", ["ward", "single", "complete", "average"])
     def test_all_zero_distances_tie_break_deterministic(self, method):
         tree = ward_linkage(distance_from(np.zeros((4, 4))), method=method)
-        assert [(r.left_id, r.right_id, r.height) for r in tree.rows] == [
-            (0, 1, 0.0),
-            (2, 3, 0.0),
-            (4, 5, 0.0),
-        ]
+        assert np.array_equal(tree.rows[:, :3], [[0, 1, 0.0], [2, 3, 0.0], [4, 5, 0.0]])
 
     def test_heights_nondecreasing(self, rng):
         for _ in range(10):
@@ -170,7 +161,7 @@ class TestWardLinkage:
             values = (values + values.T) / 2.0
             np.fill_diagonal(values, 0.0)
             tree = ward_linkage(distance_from(values))
-            heights = [r.height for r in tree.rows]
+            heights = tree.rows[:, 2]
             assert all(b >= a - 1e-12 for a, b in zip(heights, heights[1:]))
 
     def test_matches_brute_force_recomputation(self, rng):
@@ -178,13 +169,10 @@ class TestWardLinkage:
             values = rng.uniform(0.05, 1.5, size=(6, 6))
             values = (values + values.T) / 2.0
             np.fill_diagonal(values, 0.0)
-            mine = ward_linkage(distance_from(values))
-            reference = brute_force_ward(values)
-            assert [(r.left_id, r.right_id, r.size) for r in mine.rows] == [
-                (a, b, s) for a, b, _, s in reference
-            ]
-            for row, (_, _, height, _) in zip(mine.rows, reference):
-                assert row.height == pytest.approx(height, abs=1e-10)
+            mine = ward_linkage(distance_from(values)).rows
+            reference = np.array(brute_force_ward(values))
+            assert np.array_equal(mine[:, [0, 1, 3]], reference[:, [0, 1, 3]])
+            assert mine[:, 2] == pytest.approx(reference[:, 2], abs=1e-10)
 
     @settings(deadline=None)
     @given(points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=9))
@@ -193,13 +181,13 @@ class TestWardLinkage:
         xy = np.array(points, dtype=float)
         values = np.round(np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)), 1)
         rows = ward_linkage(distance_from(values)).rows
-        assert [tuple(row) for row in rows] == brute_force_ward(values)
+        assert np.array_equal(rows, brute_force_ward(values))
 
     def test_reads_upper_triangle_of_nearly_symmetric_input(self):
         # DistanceMatrix admits asymmetry up to 1e-12; the linkage reads the upper triangle
         values = np.array([[0.0, 0.5, 0.9], [0.5 - 1e-13, 0.0, 0.7], [0.9, 0.7, 0.0]])
         tree = ward_linkage(distance_from(values), method="single")
-        assert tree.rows == (Merge(0, 1, 0.5, 2), Merge(2, 3, 0.7, 3))
+        assert np.array_equal(tree.rows, [[0, 1, 0.5, 2], [2, 3, 0.7, 3]])
 
     def test_matches_scipy_on_euclidean_points(self, rng):
         for _ in range(5):
@@ -212,7 +200,7 @@ class TestWardLinkage:
             theirs = sch.linkage(
                 distances[np.triu_indices(9, 1)], method="ward"
             )
-            assert np.allclose(linkage_as_scipy(mine), theirs, atol=1e-10)
+            assert np.allclose(mine.rows, theirs, atol=1e-10)
 
     def test_heights_match_centroid_formula(self, rng):
         points = rng.normal(size=(8, 3))
@@ -221,9 +209,8 @@ class TestWardLinkage:
         np.fill_diagonal(distances, 0.0)
         distances = (distances + distances.T) / 2.0
         tree = ward_linkage(distance_from(distances))
-        rows = [(r.left_id, r.right_id, r.height, r.size) for r in tree.rows]
-        expected = ward_centroid_heights(points, rows)
-        assert [r.height for r in tree.rows] == pytest.approx(expected, abs=1e-8)
+        expected = ward_centroid_heights(points, tree.rows.tolist())
+        assert tree.rows[:, 2] == pytest.approx(expected, abs=1e-8)
 
     def test_alternative_methods_monotone(self, rng):
         values = rng.uniform(0.1, 1.0, size=(6, 6))
@@ -231,7 +218,7 @@ class TestWardLinkage:
         np.fill_diagonal(values, 0.0)
         for method in ("single", "complete", "average"):
             tree = ward_linkage(distance_from(values), method=method)
-            heights = [r.height for r in tree.rows]
+            heights = tree.rows[:, 2]
             assert all(b >= a - 1e-12 for a, b in zip(heights, heights[1:]))
 
     @pytest.mark.parametrize("method", ["single", "complete", "average"])
@@ -241,11 +228,11 @@ class TestWardLinkage:
         np.fill_diagonal(values, 0.0)
         mine = ward_linkage(distance_from(values), method=method)
         theirs = sch.linkage(values[np.triu_indices(8, 1)], method=method)
-        assert np.allclose(linkage_as_scipy(mine), theirs, atol=1e-10)
+        assert np.allclose(mine.rows, theirs, atol=1e-10)
 
     def test_single_linkage_two_points(self):
         tree = ward_linkage(distance_from([[0.0, 0.7], [0.7, 0.0]]), method="single")
-        assert tree.rows[0].height == 0.7
+        assert tree.rows[0, 2] == 0.7
 
     def test_one_asset_rejected(self):
         with pytest.raises(ValueError, match="^linkage needs at least 2 assets$"):
@@ -265,7 +252,7 @@ class TestWardLinkage:
         xy = np.array(points, dtype=float)
         values = np.round(np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)), 1)
         rows = ward_linkage(distance_from(values), method=method).rows
-        assert exact_rows(rows) == exact_rows(full_scan_linkage(values, method))
+        assert np.array_equal(exact_rows(rows), exact_rows(full_scan_linkage(values, method)))
 
     @pytest.mark.parametrize("method", ["ward", "single", "complete", "average"])
     def test_matches_full_scan_on_one_factor_panel(self, method):
@@ -277,16 +264,16 @@ class TestWardLinkage:
         returns += rng.normal(0.0, 0.01, size=(1250, 300))
         dist = correlation_distance(correlation(sample_covariance(returns_matrix(returns))))
         rows = ward_linkage(dist, method=method).rows
-        assert exact_rows(rows) == exact_rows(full_scan_linkage(dist.values, method))
+        assert np.array_equal(exact_rows(rows), exact_rows(full_scan_linkage(dist.values, method)))
 
 
 class TestQuasiDiagonalize:
     def test_two_leaves(self):
-        tree = LinkageTree(n_leaves=2, rows=(Merge(0, 1, 0.5, 2),))
+        tree = LinkageTree(n_leaves=2, rows=[[0, 1, 0.5, 2]])
         assert quasi_diagonalize(tree).order == (0, 1)
 
     def test_three_leaf_expansion(self):
-        tree = LinkageTree(n_leaves=3, rows=(Merge(0, 2, 0.1, 2), Merge(1, 3, 0.4, 3)))
+        tree = LinkageTree(n_leaves=3, rows=[[0, 2, 0.1, 2], [1, 3, 0.4, 3]])
         assert quasi_diagonalize(tree).order == (1, 0, 2)
 
     def test_always_a_permutation(self, rng):
@@ -303,16 +290,8 @@ class TestQuasiDiagonalize:
         np.fill_diagonal(values, 0.0)
         tree = ward_linkage(distance_from(values))
         mine = quasi_diagonalize(tree).order
-        theirs = sch.leaves_list(linkage_as_scipy(tree))
+        theirs = sch.leaves_list(tree.rows)
         assert list(mine) == theirs.tolist()
-
-    def test_malformed_tree_rejected_at_construction(self):
-        with pytest.raises(MalformedTree):
-            LinkageTree(n_leaves=3, rows=(Merge(0, 5, 0.1, 2), Merge(1, 3, 0.2, 3)))
-        with pytest.raises(MalformedTree):  # leaf 0 consumed twice
-            LinkageTree(n_leaves=3, rows=(Merge(0, 1, 0.1, 2), Merge(0, 3, 0.2, 3)))
-        with pytest.raises(MalformedTree):  # wrong size bookkeeping
-            LinkageTree(n_leaves=3, rows=(Merge(0, 1, 0.1, 2), Merge(2, 3, 0.2, 2)))
 
 
 class TestInverseVarianceWeights:
@@ -585,10 +564,10 @@ class TestPermutationBehavior:
     def merge_ticker_sets(tree, tickers):
         members = {i: frozenset([tickers[i]]) for i in range(tree.n_leaves)}
         out = []
-        for k, row in enumerate(tree.rows):
-            merged = members[row.left_id] | members[row.right_id]
+        for k, (left, right, height, _) in enumerate(tree.rows.tolist()):
+            merged = members[int(left)] | members[int(right)]
             members[tree.n_leaves + k] = merged
-            out.append((merged, row.height))
+            out.append((merged, height))
         return out
 
     def test_weight_map_invariant_when_leaf_pair_order_preserved(self, rng):
@@ -597,11 +576,7 @@ class TestPermutationBehavior:
         # that keep every bottom-level pair's relative order
         returns = correlated_returns(rng)
         base = hrp_of(returns)
-        leaf_pairs = [
-            (row.left_id, row.right_id)
-            for row in base.tree.rows
-            if row.left_id < len(returns.tickers) and row.right_id < len(returns.tickers)
-        ]
+        leaf_pairs = base.tree.rows[base.tree.rows[:, 1] < len(returns.tickers), :2].astype(int)
         base_map = base.weights.as_dict()
         checked = 0
         for _ in range(40):
@@ -620,9 +595,9 @@ class TestPermutationBehavior:
 def dendrogram_dict(tree, tickers):
     """Reference for dendrogram_json: the nested {id, height, children} dicts."""
     nodes = [{"id": index, "ticker": ticker, "height": 0.0} for index, ticker in enumerate(tickers)]
-    for k, row in enumerate(tree.rows):
-        children = [nodes[row.left_id], nodes[row.right_id]]
-        nodes.append({"id": tree.n_leaves + k, "height": row.height, "children": children})
+    for k, (left, right, height, _) in enumerate(tree.rows.tolist()):
+        children = [nodes[int(left)], nodes[int(right)]]
+        nodes.append({"id": tree.n_leaves + k, "height": height, "children": children})
     return nodes[-1]
 
 
@@ -639,22 +614,86 @@ def random_trees(draw):
         a = active.pop(draw(st.integers(0, len(active) - 1)))
         b = active.pop(draw(st.integers(0, len(active) - 1)))
         left, right = min(a, b), max(a, b)
-        height = (rows[-1].height if rows else 0.0) + step
-        rows.append(Merge(left, right, height, sizes[left] + sizes[right]))
-        sizes[n + k] = rows[-1].size
+        height = (rows[-1][2] if rows else 0.0) + step
+        rows.append([left, right, height, sizes[left] + sizes[right]])
+        sizes[n + k] = rows[-1][3]
         active.append(n + k)
-    return LinkageTree(n_leaves=n, rows=tuple(rows)), tickers
+    return LinkageTree(n_leaves=n, rows=np.reshape(rows, (n - 1, 4))), tickers
 
 
 def chain(n):
     """n leaves merged one at a time: the deepest tree n leaves can make."""
-    rows = [Merge(0, 1, 0.0, 2)] + [Merge(k + 1, n + k - 1, float(k), k + 2) for k in range(1, n - 1)]
-    return LinkageTree(n_leaves=n, rows=tuple(rows))
+    rows = [[0, 1, 0.0, 2]] + [[k + 1, n + k - 1, float(k), k + 2] for k in range(1, n - 1)]
+    return LinkageTree(n_leaves=n, rows=rows)
+
+
+MALFORMED_TREES = [  # each three-leaf tree breaks one rule, at the row the message names
+    pytest.param([[0, 1, 0.1, 2]], "expected", id="row-count"),
+    pytest.param([[0, 1, 0.1], [2, 3, 0.2]], "expected", id="column-count"),
+    pytest.param([[-1, 1, 0.1, 2], [0, 3, 0.2, 3]], r"^row 0\b.*dangling", id="negative-id"),
+    pytest.param([[0, 3, 0.1, 2], [1, 4, 0.2, 3]], r"^row 0\b.*dangling", id="id-not-yet-made"),
+    pytest.param([[0, 1, 0.1, 2], [2, 4, 0.2, 3]], r"^row 1\b.*dangling", id="id-of-own-row"),
+    pytest.param([[0, 5, 0.1, 2], [1, 3, 0.2, 3]], r"^row 0\b.*dangling", id="id-past-root"),
+    pytest.param([[0.5, 1, 0.1, 2], [2, 3, 0.2, 3]], r"^row 0\b.*dangling", id="non-integral-id"),
+    pytest.param([[0, 1, 0.1, 2], [0, 3, 0.2, 3]], r"^row 1\b.*consumed twice", id="id-reused"),
+    pytest.param([[1, 0, 0.1, 2], [2, 3, 0.2, 3]], r"^row 0\b.*not ordered", id="unordered"),
+    pytest.param([[0, 1, float("nan"), 2], [2, 3, 0.2, 3]], r"^row 0\b.*not finite", id="nan-height"),
+    pytest.param([[0, 1, 0.1, 2], [2, 3, float("inf"), 3]], r"^row 1\b.*not finite", id="inf-height"),
+    pytest.param([[0, 1, -0.1, 2], [2, 3, 0.2, 3]], r"^row 0\b.*below previous", id="negative-height"),
+    pytest.param([[0, 1, 0.5, 2], [2, 3, 0.2, 3]], r"^row 1\b.*below previous", id="decreasing-height"),
+    pytest.param([[0, 1, 0.2, 2], [2, 3, 0.2 - 1e-6, 3]], r"^row 1\b.*below previous", id="dip-past-tolerance"),
+    pytest.param([[0, 1, 0.1, 3], [2, 3, 0.2, 4]], r"^row 0\b.*sum of children sizes", id="size"),
+    # a root of other than n leaves needs a row whose size is not its children's
+    pytest.param([[0, 1, 0.1, 2], [2, 3, 0.2, 2]], r"^row 1\b.*sum of children sizes", id="root-size"),
+]
+
+
+class TestLinkageTreeChecks:
+    @pytest.mark.parametrize("rows, message", MALFORMED_TREES)
+    def test_rejected(self, rows, message):
+        with pytest.raises(MalformedTree, match=message):
+            LinkageTree(n_leaves=3, rows=rows)
+
+    def test_height_dip_within_tolerance_accepted(self):
+        tree = LinkageTree(n_leaves=3, rows=[[0, 1, 0.2, 2], [2, 3, 0.2 - 1e-10, 3]])
+        assert quasi_diagonalize(tree).order == (2, 0, 1)
+
+    @settings(deadline=None, max_examples=300)
+    @given(tree_and_tickers=random_trees(), data=st.data())
+    def test_matches_row_by_row_checks(self, tree_and_tickers, data):
+        # one or two cells of a valid tree take a valid-looking or hostile value
+        tree, _ = tree_and_tickers
+        n = tree.n_leaves
+        assume(n >= 2)
+        rows = tree.rows.copy()
+        values = st.one_of(
+            st.integers(-1, 2 * n).map(float),
+            st.sampled_from([0.5, float("nan"), float("inf"), -float("inf")]),
+            st.floats(-1.0, 40.0),
+        )
+        for _ in range(data.draw(st.integers(1, 2))):
+            rows[data.draw(st.integers(0, n - 2)), data.draw(st.integers(0, 3))] = data.draw(values)
+        fault = first_malformed_row(n, rows.tolist())
+        if fault is None:
+            assert np.array_equal(LinkageTree(n_leaves=n, rows=rows).rows, rows)
+        else:
+            k, rule = fault
+            with pytest.raises(MalformedTree) as caught:
+                LinkageTree(n_leaves=n, rows=rows)
+            assert str(caught.value) == f"row {k} {rows[k].tolist()}: {rule}"
+
+    def test_ward_linkage_rows_are_a_scipy_linkage_matrix(self, rng):
+        values = rng.uniform(0.1, 1.0, size=(12, 12))
+        values = (values + values.T) / 2.0
+        np.fill_diagonal(values, 0.0)
+        rows = ward_linkage(distance_from(values)).rows
+        assert rows.shape == (11, 4) and rows.dtype == np.float64 and not rows.flags.writeable
+        assert sch.is_valid_linkage(rows, throw=True)
 
 
 class TestDendrogramExport:
     def test_nested_structure(self):
-        tree = LinkageTree(n_leaves=3, rows=(Merge(0, 2, 0.1, 2), Merge(1, 3, 0.4, 3)))
+        tree = LinkageTree(n_leaves=3, rows=[[0, 2, 0.1, 2], [1, 3, 0.4, 3]])
         root = json.loads(dendrogram_json(tree, ("AAA", "BBB", "CCC")))
         assert root["id"] == 4 and root["height"] == 0.4
         left, right = root["children"]
@@ -662,7 +701,7 @@ class TestDendrogramExport:
         assert [child["ticker"] for child in right["children"]] == ["AAA", "CCC"]
 
     def test_label_count_checked(self):
-        tree = LinkageTree(n_leaves=2, rows=(Merge(0, 1, 0.2, 2),))
+        tree = LinkageTree(n_leaves=2, rows=[[0, 1, 0.2, 2]])
         with pytest.raises(ValueError):
             dendrogram_json(tree, ("only",))
 

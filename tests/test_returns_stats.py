@@ -47,6 +47,12 @@ class TestDailyReturns:
         assert returns.dates == panel.dates[1:]
         assert returns.n_obs == panel.n_dates - 1
 
+    def test_overflowing_return_names_ticker_and_day(self):
+        # the quotient overflows to inf; numpy's overflow warning must not escape
+        panel = make_panel([[1.0, 1e-300], [1.0, 1e300]])
+        with pytest.raises(ValueError, match="^returns contain non-finite values: T1 on 2020-01-02$"):
+            daily_returns(panel)
+
     def test_cumulative_reconstruction(self, rng):
         closes = rng.uniform(10, 500, size=(1, 6)) * np.cumprod(
             1 + rng.normal(0, 0.02, size=(40, 6)), axis=0

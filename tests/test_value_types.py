@@ -13,7 +13,7 @@ import pytest
 
 from portlab.eigen import PCAModel
 from portlab.errors import MalformedTree
-from portlab.hrp import DistanceMatrix, LinkageTree, Merge
+from portlab.hrp import DistanceMatrix, LinkageTree
 from portlab.market_data import PricePanel, PriceSeries
 from portlab.portfolio import PortfolioWeights
 from portlab.returns_stats import CorrelationMatrix, CovarianceMatrix, ReturnsMatrix
@@ -31,6 +31,7 @@ VALUE_TYPES = [
     pytest.param(lambda: CovarianceMatrix(TICKERS, EYE), id="CovarianceMatrix"),
     pytest.param(lambda: CorrelationMatrix(TICKERS, EYE), id="CorrelationMatrix"),
     pytest.param(lambda: DistanceMatrix(TICKERS, 1.0 - EYE), id="DistanceMatrix"),
+    pytest.param(lambda: LinkageTree(3, [[0, 1, 0.5, 2], [2, 3, 1.0, 3]]), id="LinkageTree"),
     pytest.param(lambda: PCAModel(TICKERS, np.ones(3), EYE, standardized=True), id="PCAModel"),
     pytest.param(lambda: PortfolioWeights(TICKERS, THIRDS, "HRP"), id="PortfolioWeights"),
 ]
@@ -84,7 +85,7 @@ def with_nan(values, index):
             id="ReturnsMatrix",
         ),
         pytest.param(
-            lambda: LinkageTree(3, (Merge(0, 1, NAN, 2), Merge(2, 3, 1.0, 3))),
+            lambda: LinkageTree(3, [[0, 1, NAN, 2], [2, 3, 1.0, 3]]),
             MalformedTree,
             id="LinkageTree",
         ),

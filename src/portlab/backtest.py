@@ -107,7 +107,7 @@ def evaluate(
         "trading_days_per_year": TRADING_DAYS_PER_YEAR,
         "covariance": "sample(ddof=1)",
         "periods": {
-            label: {"start": panel.dates[0].isoformat(), "end": panel.dates[-1].isoformat()}
+            label: {"start": str(panel.dates[0]), "end": str(panel.dates[-1])}
             for label, panel in panels.items()
         },
     }

@@ -33,7 +33,7 @@ from .eigen import EigenCandidate, fit_pca, min_components_for_variance, select_
 from .errors import ConfigError, PortlabError
 from .hrp import build_hrp_portfolio, dendrogram_json
 from .market_data import (
-    PricePanel, _as_days, _csv_text, _dated_csv_text, align_panel, load_price_csv, parse_wide_csv, slice_period
+    PricePanel, _csv_text, _dated_csv_text, align_panel, load_price_csv, parse_wide_csv, slice_period
 )
 from .portfolio import PortfolioWeights, weights_from_csv
 from .returns_stats import correlation, daily_returns, sample_covariance
@@ -192,9 +192,9 @@ def _run_one_sector(
             )
             files[f"report.{fmt}"] = bt.report_to_csv(report) if fmt == "csv" else bt.report_to_json(report)
             for period, series in (report.series or {}).items():
-                days = _as_days(series.dates)
                 for method, daily in zip(series.tickers, series.values.T):
-                    files[f"returns_{method.lower()}_{period}.csv"] = _dated_csv_text(("date", "return"), days, daily)
+                    text = _dated_csv_text(("date", "return"), series.dates, daily)
+                    files[f"returns_{method.lower()}_{period}.csv"] = text
         stage, source = "write", str(sector_dir)
         _write_files(sector_dir, owned, files)
         return SectorResult(sector=sector.name, report=report)

@@ -9,12 +9,10 @@ reconciled.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -85,9 +83,9 @@ def _as_days(days: Sequence[date]) -> np.ndarray:
     return (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
 
 
-def _ascending(days: Sequence[date]) -> bool:
-    """Whether ``days`` are strictly ascending, compared pairwise at C level."""
-    return all(map(operator.lt, days, days[1:]))
+def _ascending(days: np.ndarray) -> bool:
+    """Whether ``datetime64[D]`` ``days`` are 1-D, free of NaT and strictly ascending."""
+    return days.ndim == 1 and not np.isnat(days).any() and bool((days[1:] > days[:-1]).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +129,14 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class PricePanel:
-    """Date-aligned close prices: T dates x N tickers, no missing cells."""
+    """Date-aligned close prices: T ``datetime64[D]`` dates x N tickers, no missing cells."""
 
     tickers: tuple[str, ...]
-    dates: tuple[date, ...]
+    dates: np.ndarray = field(repr=False)
     closes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        dates = _frozen(self, "dates", "datetime64[D]")
         closes = _frozen(self, "closes")
         if len(self.tickers) < 2:
             raise ValueError("panel needs at least 2 tickers")
@@ -147,7 +146,7 @@ class PricePanel:
             raise ValueError(f"close matrix shape {closes.shape} does not match dates x tickers")
         if len(set(self.tickers)) != len(self.tickers):
             raise ValueError("duplicate tickers in panel")
-        if not _ascending(self.dates):
+        if not _ascending(dates):
             raise ValueError("panel dates not strictly increasing")
         if not np.isfinite(closes).all() or (closes <= 0.0).any():
             raise NonPositivePrice("panel contains non-finite or non-positive closes")
@@ -162,7 +161,7 @@ class PricePanel:
 
     def series(self, ticker: str) -> PriceSeries:
         col = self.tickers.index(ticker)
-        return PriceSeries(ticker=ticker, dates=_as_days(self.dates), closes=self.closes[:, col])
+        return PriceSeries(ticker=ticker, dates=self.dates, closes=self.closes[:, col])
 
 
 @dataclass(frozen=True)
@@ -403,16 +402,16 @@ def align_panel(series: list[PriceSeries], policy: AlignmentPolicy = "intersecti
         raise InsufficientHistory(f"{kept.size} aligned date(s) across {', '.join(tickers)}, need >= 2")
     # each ticker's last quote on or before each kept date: under intersection, that day's own
     closes = np.column_stack([s.closes[np.searchsorted(s.dates, kept, "right") - 1] for s in series])
-    return PricePanel(tickers=tickers, dates=tuple(kept.tolist()), closes=closes)
+    return PricePanel(tickers=tickers, dates=kept, closes=closes)
 
 
 def slice_period(panel: PricePanel, period: PeriodSpec) -> PricePanel:
-    """Restrict a panel to dates inside the period's inclusive window."""
-    start = bisect.bisect_left(panel.dates, period.start)
-    stop = bisect.bisect_right(panel.dates, period.end)
+    """Restrict a panel to dates inside the period's inclusive window; bounds are dates or days."""
+    start = np.searchsorted(panel.dates, np.datetime64(period.start, "D"))
+    stop = np.searchsorted(panel.dates, np.datetime64(period.end, "D"), "right")
     if stop - start < 2:
         raise InsufficientHistory(
-            f"{period.label} window {period.start.isoformat()}..{period.end.isoformat()} "
+            f"{period.label} window {period.start}..{period.end} "
             f"covers {stop - start} panel date(s), need >= 2"
         )
     return PricePanel(

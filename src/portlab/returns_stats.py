@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date
 from typing import Any
 
 import numpy as np
@@ -43,14 +42,15 @@ class ReturnsMatrix:
     """T x N simple daily returns of named assets or portfolios; each row stamped with the later day."""
 
     tickers: tuple[str, ...]
-    dates: tuple[date, ...]
+    dates: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        dates = _frozen(self, "dates", "datetime64[D]")
         values = _frozen(self, "values")
         if values.shape != (len(self.dates), len(self.tickers)):
             raise ValueError(f"returns shape {values.shape} does not match dates x tickers")
-        if not _ascending(self.dates):
+        if not _ascending(dates):
             raise ValueError("returns dates not strictly increasing")
         if not np.isfinite(values).all():
             day, asset = np.argwhere(~np.isfinite(values))[0]

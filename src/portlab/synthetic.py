@@ -15,6 +15,7 @@ import json
 import string
 from datetime import date, timedelta
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,17 +32,19 @@ DRIFT = 0.0004
 
 def weekday_range(start: date, end: date) -> tuple[date, ...]:
     """All Monday-Friday dates in [start, end]."""
-    days = []
-    day = start
-    one = timedelta(days=1)
-    while day <= end:
-        if day.weekday() < 5:
-            days.append(day)
-        day += one
-    return tuple(days)
+    days = np.arange(start, end + timedelta(days=1), dtype="datetime64[D]")
+    return tuple(days[np.is_busday(days)].tolist())
 
 
-def synthetic_panel(tickers: list[str], dates: tuple[date, ...], seed: int) -> PricePanel:
+class SyntheticPanel(NamedTuple):
+    """Generated panel fields; ``dates`` stays the caller's tuple, ``PricePanel(*it)`` validates them."""
+
+    tickers: tuple[str, ...]
+    dates: tuple[date, ...]
+    closes: np.ndarray
+
+
+def synthetic_panel(tickers: list[str], dates: tuple[date, ...], seed: int) -> SyntheticPanel:
     """Correlated geometric random-walk closes for the given tickers.
 
     Assets are grouped into blocks of ``BLOCK_SIZE``; names in one block load
@@ -65,7 +68,7 @@ def synthetic_panel(tickers: list[str], dates: tuple[date, ...], seed: int) -> P
     closes[0] = start_prices
     np.cumprod(1.0 + returns, axis=0, out=returns)
     closes[1:] = start_prices * returns
-    return PricePanel(tickers=tuple(tickers), dates=dates, closes=closes)
+    return SyntheticPanel(tuple(tickers), dates, closes)
 
 
 def sector_tickers(sector_index: int, count: int) -> list[str]:
@@ -81,15 +84,15 @@ def write_fixture(
 ) -> Path:
     """Write per-ticker CSV trees for every sector plus a config.json.
 
-    Returns the path of the written config file.
+    Returns the path of the written config file; its paths are absolute.
     """
-    root = Path(root)
+    root = Path(root).absolute()
     dates = weekday_range(DEFAULT_START, DEFAULT_END)
     sectors = []
     for s in range(n_sectors):
         name = f"sector{s + 1}"
         tickers = sector_tickers(s, tickers_per_sector)
-        panel = synthetic_panel(tickers, dates, seed=seed + s)
+        panel = PricePanel(*synthetic_panel(tickers, dates, seed=seed + s))
         sector_dir = root / "data" / name
         sector_dir.mkdir(parents=True, exist_ok=True)
         for ticker in tickers:

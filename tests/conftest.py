@@ -55,12 +55,12 @@ def output_tree(root) -> dict[str, bytes]:
 
 
 def make_panel(closes, tickers=None, start=date(2020, 1, 1)) -> PricePanel:
-    """Panel over consecutive weekdays from a T x N close matrix."""
+    """Panel over consecutive weekdays, from a date or datetime64 day, for a T x N close matrix."""
     closes = np.asarray(closes, dtype=float)
     if tickers is None:
         tickers = tuple(f"T{i}" for i in range(closes.shape[1]))
     days = []
-    day = start
+    day = np.datetime64(start, "D").item()
     while len(days) < closes.shape[0]:
         if day.weekday() < 5:
             days.append(day)

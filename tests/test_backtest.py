@@ -108,7 +108,7 @@ def split_panels(rng, n_assets=4, n_train=60, n_test=25):
     train_end = panel.dates[n_train]
     train = slice_period(panel, PeriodSpec("train", panel.dates[0], train_end))
     test = slice_period(
-        panel, PeriodSpec("test", date.fromordinal(train_end.toordinal() + 1), panel.dates[-1])
+        panel, PeriodSpec("test", train_end + np.timedelta64(1, "D"), panel.dates[-1])
     )
     return train, test
 
@@ -149,7 +149,7 @@ class TestEvaluate:
             series = report.series[label]
             assert isinstance(series, ReturnsMatrix)
             assert series.tickers == ("EIGEN", "HRP")
-            assert series.dates == returns.dates
+            assert np.array_equal(series.dates, returns.dates)
             assert series.values.shape == (panel.n_dates - 1, 2)
             for j, method in enumerate(series.tickers):
                 column = series.values[:, j]
@@ -182,7 +182,7 @@ class TestEvaluate:
         assert report.metadata["risk_free_rate"] == 0.03
         assert report.metadata["trading_days_per_year"] == 250
         assert report.metadata["config_hash"] == "abc123"
-        assert report.metadata["periods"]["train"]["start"] == train.dates[0].isoformat()
+        assert report.metadata["periods"]["train"]["start"] == train.dates[0].item().isoformat()
 
 
 class TestSummarize:

@@ -16,6 +16,8 @@ from conftest import output_tree
 from portlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, config_hash, main, run_experiment
 from portlab.config import SETTINGS, load_config, load_sector_constituents, validate_config
 from portlab.errors import ConfigError
+from portlab.market_data import PricePanel
+from portlab.synthetic import main as synthetic_main
 from portlab.synthetic import synthetic_panel, weekday_range, write_fixture
 
 MINIMAL = {
@@ -407,7 +409,7 @@ class TestMainEntry:
 
     def test_comma_in_names_is_quoted(self, tmp_path):
         tickers = ["A,1", "B", "C", "D"]
-        panel = synthetic_panel(tickers, weekday_range(date(2019, 1, 1), date(2021, 11, 1)), seed=3)
+        panel = PricePanel(*synthetic_panel(tickers, weekday_range(date(2019, 1, 1), date(2021, 11, 1)), seed=3))
         for ticker in tickers:
             (tmp_path / f"{ticker}.csv").write_text(panel.series(ticker).to_csv())
         raw = copy.deepcopy(MINIMAL)
@@ -426,7 +428,7 @@ class TestMainEntry:
 
     def test_carriage_return_in_ticker_round_trips(self, tmp_path):
         tickers = ["A\r1", "B", "C"]
-        panel = synthetic_panel(tickers, weekday_range(date(2019, 1, 1), date(2021, 11, 1)), seed=3)
+        panel = PricePanel(*synthetic_panel(tickers, weekday_range(date(2019, 1, 1), date(2021, 11, 1)), seed=3))
         for ticker in tickers:
             (tmp_path / f"{ticker}.csv").write_text(panel.series(ticker).to_csv())
         raw = copy.deepcopy(MINIMAL)
@@ -514,6 +516,13 @@ class TestMainEntry:
         elsewhere = tmp_path / "elsewhere"
         assert main(["run", "--config", str(fixture_config), "--out", str(elsewhere)]) == EXIT_OK
         assert (elsewhere / "summary.json").exists()
+
+    def test_fixture_written_to_a_relative_out_runs_from_inside_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert synthetic_main(["--out", "syn", "--sectors", "1", "--tickers", "4"]) == 0
+        monkeypatch.chdir(tmp_path / "syn")
+        assert main(["run", "--config", "config.json"]) == EXIT_OK
+        assert (tmp_path / "syn" / "out" / "summary.json").is_file()
 
     def test_env_overrides(self, fixture_config, tmp_path, monkeypatch):
         monkeypatch.setenv("PORTLAB_RISK_FREE", "0.05")

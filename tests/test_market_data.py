@@ -21,7 +21,6 @@ from portlab.market_data import (
     PeriodSpec,
     PricePanel,
     PriceSeries,
-    _as_days,
     _csv_text,
     _dated_csv_text,
     align_panel,
@@ -290,14 +289,14 @@ class TestAlignPanel:
         a = series("A", ("2021-01-01", 100), ("2021-01-04", 101), ("2021-01-05", 102))
         b = series("B", ("2021-01-04", 50), ("2021-01-05", 51))
         panel = align_panel([a, b], "intersection")
-        assert panel.dates == (date(2021, 1, 4), date(2021, 1, 5))
+        assert panel.dates.tolist() == [date(2021, 1, 4), date(2021, 1, 5)]
         assert panel.closes.tolist() == [[101.0, 50.0], [102.0, 51.0]]
 
     def test_forward_fill_uses_last_prior_close(self):
         a = series("A", ("2021-01-01", 100), ("2021-01-05", 102))
         b = series("B", ("2021-01-01", 50), ("2021-01-04", 51), ("2021-01-05", 52))
         panel = align_panel([a, b], "forward_fill")
-        assert panel.dates == (date(2021, 1, 1), date(2021, 1, 4), date(2021, 1, 5))
+        assert panel.dates.tolist() == [date(2021, 1, 1), date(2021, 1, 4), date(2021, 1, 5)]
         assert panel.closes[:, 0].tolist() == [100.0, 100.0, 102.0]
 
     def test_forward_fill_drops_leading_gap(self):
@@ -340,8 +339,8 @@ class TestAlignPanel:
                 )
             )
         panel = align_panel(members, "intersection")
-        assert set(panel.dates) == set.intersection(*date_sets)
-        assert list(panel.dates) == sorted(panel.dates)
+        assert set(panel.dates.tolist()) == set.intersection(*date_sets)
+        assert panel.dates.tolist() == sorted(panel.dates.tolist())
 
 
 class TestSlicePeriod:
@@ -352,13 +351,13 @@ class TestSlicePeriod:
 
     def test_window_subset(self):
         sliced = slice_period(self.panel(), PeriodSpec("train", date(2021, 1, 3), date(2021, 1, 6)))
-        assert sliced.dates == tuple(date(2021, 1, d) for d in (3, 4, 5, 6))
+        assert sliced.dates.tolist() == [date(2021, 1, d) for d in (3, 4, 5, 6)]
         assert sliced.tickers == ("A", "B")
 
     def test_full_window_is_identity(self):
         panel = self.panel()
         sliced = slice_period(panel, PeriodSpec("train", date(2020, 1, 1), date(2022, 1, 1)))
-        assert sliced.dates == panel.dates
+        assert np.array_equal(sliced.dates, panel.dates)
         assert np.array_equal(sliced.closes, panel.closes)
 
     def test_single_date_window(self):
@@ -369,14 +368,14 @@ class TestSlicePeriod:
         window = PeriodSpec("train", date(2021, 1, 2), date(2021, 1, 8))
         once = slice_period(self.panel(), window)
         twice = slice_period(once, window)
-        assert once.dates == twice.dates
+        assert np.array_equal(once.dates, twice.dates)
         assert np.array_equal(once.closes, twice.closes)
 
     def test_five_year_train_window(self, rng):
         from portlab.synthetic import synthetic_panel, weekday_range
 
         days = weekday_range(date(2016, 1, 1), date(2021, 11, 1))
-        panel = synthetic_panel(["A", "B"], days, seed=1)
+        panel = PricePanel(*synthetic_panel(["A", "B"], days, seed=1))
         train = slice_period(panel, PeriodSpec("train", date(2016, 1, 1), date(2020, 12, 31)))
         test = slice_period(panel, PeriodSpec("test", date(2021, 1, 1), date(2021, 11, 1)))
         assert train.dates[-1] <= date(2020, 12, 31)
@@ -498,7 +497,7 @@ class TestIngestProperties:
                 align_panel(members, policy)
             return
         panel = align_panel(members, policy)
-        assert panel.dates == tuple(kept)
+        assert panel.dates.tolist() == kept
         assert panel.closes.tolist() == closes
 
     @pytest.mark.parametrize(
@@ -627,7 +626,8 @@ class TestBlockSplit:
 
         monkeypatch.setattr(market_data, "_read_rows", row_loop)
         tickers = ["A", "B", "C"]
-        panel = synthetic_panel(tickers, weekday_range(date(2020, 1, 1), date(2020, 6, 30)), seed=5)
+        days = weekday_range(date(2020, 1, 1), date(2020, 6, 30))
+        panel = PricePanel(*synthetic_panel(tickers, days, seed=5))
         for ticker in tickers:
             original = panel.series(ticker)
             parsed = parse_price_csv(original.to_csv(), ticker)
@@ -636,7 +636,7 @@ class TestBlockSplit:
 
         # the wide layout of the benchmark's universe: repr closes, blank cells, a final line feed;
         # 600 tickers put the rows in two blocks, with blanks in both and in the very last cell
-        wide = synthetic_panel([f"W{i}" for i in range(600)], panel.dates, seed=6)
+        wide = PricePanel(*synthetic_panel([f"W{i}" for i in range(600)], days, seed=6))
         assert len(wide.dates) > (1 << 16) // (len(wide.tickers) + 1)
         last = len(panel.dates) - 1
         for members, blanks in [
@@ -647,10 +647,10 @@ class TestBlockSplit:
             for row, col in blanks:
                 cells[row][col] = ""
             lines = ["Date," + ",".join(members.tickers)]
-            lines.extend(f"{d.isoformat()},{','.join(r)}" for d, r in zip(members.dates, cells))
+            lines.extend(f"{d},{','.join(r)}" for d, r in zip(members.dates, cells))
             for col, parsed in enumerate(parse_wide_csv("\n".join(lines) + "\n")):
                 kept = [row for row in range(len(cells)) if (row, col) not in blanks]
-                assert parsed.dates.tolist() == [members.dates[row] for row in kept]
+                assert np.array_equal(parsed.dates, members.dates[kept])
                 assert parsed.closes.tolist() == members.closes[kept, col].tolist()
 
 
@@ -765,12 +765,12 @@ class TestDatedCsv:
         values = data.draw(st.lists(FINITE_ST, min_size=len(days), max_size=len(days)))
         # a returns_*.csv is one column of a period's ReturnsMatrix, a strided view
         matrix = ReturnsMatrix(("A", "B"), tuple(days), np.column_stack([np.zeros(len(days)), values]))
-        returns = _dated_csv_text(("date", "return"), _as_days(matrix.dates), matrix.values[:, 1])
+        returns = _dated_csv_text(("date", "return"), matrix.dates, matrix.values[:, 1])
         assert returns == _csv_text(("date", "return"), zip(days, values))
         closes = [abs(v) or 5e-324 for v in values]
         prices = PriceSeries("A", dates=days, closes=closes)
         assert prices.to_csv() == _csv_text(("Date", "Close"), zip(days, closes))
 
     def test_empty_series_is_the_header_line(self):
-        assert _dated_csv_text(("date", "return"), _as_days(()), np.empty(0)) == "date,return\n"
+        assert _dated_csv_text(("date", "return"), np.empty(0, "datetime64[D]"), np.empty(0)) == "date,return\n"
         assert PriceSeries("A", dates=[], closes=[]).to_csv() == "Date,Close\n"

@@ -1,10 +1,13 @@
 """Hypothesis properties of the portfolio build on random price panels.
 
-Each panel comes from ``conftest.panel_from_returns`` over a random return
+Most panels come from ``conftest.panel_from_returns`` over a random return
 matrix: either independent noise or a low-rank factor model whose loadings
 come from a small lattice, so assets repeat, offset each other exactly or
-carry no risk at all.
+carry no risk at all. The metamorphic properties use seeded
+``synthetic_panel`` data instead, whose merges and components are well apart.
 """
+
+from datetime import date
 
 import numpy as np
 import pytest
@@ -14,10 +17,12 @@ from hypothesis import strategies as st
 from conftest import make_panel, panel_from_returns
 from portlab.cli import _build_sector
 from portlab.config import validate_config
+from portlab.eigen import fit_pca, min_components_for_variance, select_best_eigen
 from portlab.errors import PortlabError, ZeroVarianceAsset
 from portlab.hrp import build_hrp_portfolio
-from portlab.market_data import PeriodSpec, slice_period
+from portlab.market_data import PeriodSpec, PricePanel, slice_period
 from portlab.returns_stats import correlation, daily_returns, sample_covariance
+from portlab.synthetic import sector_tickers, synthetic_panel, weekday_range
 
 CONFIG = validate_config(
     {
@@ -97,5 +102,59 @@ class TestNoLookAhead:
         for row, column, factor in data.draw(st.lists(cell, min_size=1, max_size=20)):
             closes[row, column] *= factor
         shaken = make_panel(closes, tickers=panel.tickers, start=panel.dates[0])
-        assert shaken.dates == panel.dates
+        assert np.array_equal(shaken.dates, panel.dates)
         assert build_outcome(shaken, train) == build_outcome(panel, train)
+
+
+SYNTHETIC_DAYS = weekday_range(date(2020, 1, 1), date(2020, 6, 30))
+
+
+@st.composite
+def seeded_panels(draw):
+    """A seeded ``synthetic_panel`` of 3 to 17 tickers over half a year."""
+    tickers = sector_tickers(0, draw(st.integers(3, 17)))
+    return PricePanel(*synthetic_panel(tickers, SYNTHETIC_DAYS, seed=draw(st.integers(0, 2**32 - 1))))
+
+
+def hrp_and_eigen(panel):
+    """The HRP result and the eigen weights the default build makes of the whole panel."""
+    returns = daily_returns(panel)
+    cov = sample_covariance(returns)
+    corr = correlation(cov)
+    model = fit_pca(corr)
+    eigen, _ = select_best_eigen(returns, model, min_components_for_variance(model, 0.8))
+    return build_hrp_portfolio(cov, corr), eigen
+
+
+def merged_sets(tree, tickers):
+    """The tickers of each merge's new cluster, in merge order."""
+    clusters = [frozenset([ticker]) for ticker in tickers]
+    for left, right, _, _ in tree.rows.tolist():
+        clusters.append(clusters[int(left)] | clusters[int(right)])
+    return clusters[len(tickers) :]
+
+
+class TestMetamorphic:
+    @settings(deadline=None, max_examples=40)
+    @given(panel=seeded_panels(), data=st.data())
+    def test_permuting_tickers_keeps_the_tree_and_permutes_the_eigen_weights(self, panel, data):
+        # HRP weights are not compared: each merge puts the lower cluster id on the
+        # left, so the seriation, and the bisection over it, follow the input order
+        perm = data.draw(st.permutations(range(panel.n_assets)))
+        shuffled = PricePanel(tuple(panel.tickers[i] for i in perm), panel.dates, panel.closes[:, perm])
+        (hrp, eigen), (hrp_shuffled, eigen_shuffled) = hrp_and_eigen(panel), hrp_and_eigen(shuffled)
+        assert np.abs(hrp_shuffled.tree.rows[:, 2] - hrp.tree.rows[:, 2]).max() <= 1e-12
+        assert merged_sets(hrp_shuffled.tree, shuffled.tickers) == merged_sets(hrp.tree, panel.tickers)
+        assert eigen_shuffled.metadata["component_index"] == eigen.metadata["component_index"]
+        assert np.abs(eigen_shuffled.weights - eigen.weights[perm]).max() <= 1e-9
+
+    @settings(deadline=None, max_examples=40)
+    @given(panel=seeded_panels(), data=st.data())
+    def test_scaling_one_tickers_closes_keeps_seriation_and_hrp_weights(self, panel, data):
+        column = data.draw(st.integers(0, panel.n_assets - 1))
+        closes = panel.closes.copy()
+        closes[:, column] *= data.draw(st.floats(1e-3, 1e3))
+        hrp = hrp_and_eigen(panel)[0]
+        hrp_scaled = hrp_and_eigen(PricePanel(panel.tickers, panel.dates, closes))[0]
+        assert hrp_scaled.order == hrp.order
+        assert np.abs(hrp_scaled.weights.weights - hrp.weights.weights).max() <= 1e-12

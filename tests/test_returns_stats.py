@@ -44,7 +44,7 @@ class TestDailyReturns:
     def test_dates_stamped_with_later_day(self):
         panel = make_panel([[1.0, 2.0], [1.1, 2.2], [1.2, 2.4]])
         returns = daily_returns(panel)
-        assert returns.dates == panel.dates[1:]
+        assert np.array_equal(returns.dates, panel.dates[1:])
         assert returns.n_obs == panel.n_dates - 1
 
     def test_overflowing_return_names_ticker_and_day(self):

@@ -102,6 +102,8 @@ def test_nan_rejected(build, error):
         pytest.param((DAYS[0], DAYS[0], DAYS[2]), id="duplicate"),
         pytest.param((DAYS[1], DAYS[0], DAYS[2]), id="descending"),
         pytest.param((DAYS[0], DAYS[2], DAYS[1]), id="descending-last"),
+        pytest.param((None, DAYS[1], DAYS[2]), id="missing-first"),
+        pytest.param((DAYS[0], DAYS[1], None), id="missing-last"),
     ],
 )
 @pytest.mark.parametrize(
@@ -123,6 +125,13 @@ def test_unordered_dates_rejected(build, message, days):
     with pytest.raises(ValueError) as caught:
         build(days)
     assert str(caught.value) == message
+
+
+def test_missing_day_rejected_in_one_row_returns():
+    # one row has no pair to compare, so only the NaT check catches it
+    with pytest.raises(ValueError) as caught:
+        ReturnsMatrix(("A",), (None,), np.zeros((1, 1)))
+    assert str(caught.value) == "returns dates not strictly increasing"
 
 
 SQUARE_TYPES = [

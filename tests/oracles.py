@@ -37,7 +37,8 @@ def brute_force_ward(dist: np.ndarray) -> list[tuple[int, int, float, int]]:
     """Naive agglomerative Ward clustering over a dict of pair distances.
 
     Recomputes the full active-pair scan each step and applies the
-    Lance-Williams update with plain Python floats. Ties break on the
+    Lance-Williams update with plain Python floats, every operation correctly
+    rounded, so the rows must match ``ward_linkage`` bit for bit. Ties break on the
     smallest (left, right) id pair. Returns (left, right, height, size) rows.
     """
     n = dist.shape[0]
@@ -68,10 +69,13 @@ def brute_force_ward(dist: np.ndarray) -> list[tuple[int, int, float, int]]:
                 continue
             d_ak = pair_distance[(min(a, k), max(a, k))]
             d_bk = pair_distance[(min(b, k), max(b, k))]
+            # squares by multiplication: IEEE 754 rounds x * x correctly, while
+            # Python's x**2 goes through the C library's pow(), which can be one
+            # ulp off (x = 2.1187372200576644 on glibc)
             numerator = (
-                (size[a] + size[k]) * d_ak**2
-                + (size[b] + size[k]) * d_bk**2
-                - size[k] * best_height**2
+                (size[a] + size[k]) * (d_ak * d_ak)
+                + (size[b] + size[k]) * (d_bk * d_bk)
+                - size[k] * (best_height * best_height)
             )
             updated = math.sqrt(max(numerator, 0.0) / (size[a] + size[b] + size[k]))
             pair_distance[(min(next_id, k), max(next_id, k))] = updated

@@ -102,17 +102,13 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _load_sector_panels(
-    sector: SectorConfig, config: ExperimentConfig
-) -> tuple[PricePanel, PricePanel]:
+def _load_sector_panels(sector: SectorConfig, config: ExperimentConfig) -> tuple[PricePanel, PricePanel]:
     if sector.input_format == "wide":
         with open(sector.data, "rb") as handle:
-            series = parse_wide_csv(handle, sector.tickers or None)
+            prices = parse_wide_csv(handle, sector.tickers or None)
     else:
-        series = []
-        for ticker in sector.tickers:
-            series.append(load_price_csv(Path(sector.data) / f"{ticker}.csv", ticker))
-    panel = align_panel(series, config.alignment)
+        prices = [load_price_csv(Path(sector.data) / f"{ticker}.csv", ticker) for ticker in sector.tickers]
+    panel = align_panel(prices, config.alignment)
     return slice_period(panel, config.train), slice_period(panel, config.test)
 
 
@@ -192,9 +188,9 @@ def _run_one_sector(
             )
             files[f"report.{fmt}"] = bt.report_to_csv(report) if fmt == "csv" else bt.report_to_json(report)
             for period, series in (report.series or {}).items():
-                for method, daily in zip(series.tickers, series.values.T):
-                    text = _dated_csv_text(("date", "return"), series.dates, daily)
-                    files[f"returns_{method.lower()}_{period}.csv"] = text
+                days = series.dates.astype(str).tolist()  # ISO text, shared by both methods' files
+                for method, col in zip(series.tickers, series.values.T):
+                    files[f"returns_{method.lower()}_{period}.csv"] = _dated_csv_text(("date", "return"), days, col)
         stage, source = "write", str(sector_dir)
         _write_files(sector_dir, owned, files)
         return SectorResult(sector=sector.name, report=report)

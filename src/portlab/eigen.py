@@ -31,13 +31,13 @@ LOADING_SUM_FLOOR = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PCAModel:
     """Eigendecomposition of the return covariance or correlation matrix.
 
     Column k of ``loadings`` is the unit-norm eigenvector for ``eigenvalues[k]``;
     eigenvalues are sorted nonincreasing and tiny negatives are clamped to 0.
-    Each eigenvector's sign is fixed so its largest-magnitude entry is positive.
+    Each eigenvector's sign is fixed so its largest-magnitude entry is positive. Equality is identity.
     """
 
     tickers: tuple[str, ...]

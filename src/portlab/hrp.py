@@ -28,9 +28,9 @@ from .returns_stats import VARIANCE_FLOOR, CorrelationMatrix, CovarianceMatrix, 
 LinkageMethod = Literal["ward", "single", "complete", "average"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric nonnegative pairwise distances with a zero diagonal."""
+    """Symmetric nonnegative pairwise distances with a zero diagonal. Equality is identity: compare the arrays."""
 
     tickers: tuple[str, ...]
     values: np.ndarray = field(repr=False)
@@ -43,11 +43,11 @@ class DistanceMatrix:
             raise ValueError("distance diagonal must be exactly 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkageTree:
     """scipy's (N-1) x 4 linkage matrix over leaves 0..N-1: row k merges ``left_id <
     right_id`` at ``height`` into cluster N+k of ``size`` leaves. The rows consume each
-    id below 2N-2 once, so the size rule alone makes the root hold all N leaves."""
+    id below 2N-2 once, so the size rule alone makes the root hold all N leaves. Equality is identity."""
 
     n_leaves: int
     rows: np.ndarray = field(repr=False)

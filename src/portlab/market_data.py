@@ -69,11 +69,11 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return buffer.getvalue()
 
 
-def _dated_csv_text(header: tuple[str, str], days: np.ndarray, values: np.ndarray) -> str:
+def _dated_csv_text(header: tuple[str, str], days: list[str], values: np.ndarray) -> str:
     """The text ``_csv_text(header, zip(days, values.tolist()))`` writes for
-    ``datetime64[D]`` days and finite floats, joined directly: an ISO date and
-    a finite float's repr never need quoting."""
-    rows = map(",".join, zip(np.datetime_as_string(days).tolist(), map(repr, values.tolist())))
+    ISO ``days`` (``dates.astype(str).tolist()``) and finite floats,
+    joined directly: an ISO date and a finite float's repr never need quoting."""
+    rows = map(",".join, zip(days, map(repr, values.tolist())))
     return "\n".join([",".join(header), *rows, ""])
 
 
@@ -124,12 +124,38 @@ class PriceSeries:
 
     def to_csv(self) -> str:
         """Serialize back to ``Date,Close`` text; floats keep full precision."""
-        return _dated_csv_text(("Date", "Close"), self.dates, self.closes)
+        return _dated_csv_text(("Date", "Close"), self.dates.astype(str).tolist(), self.closes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class PriceTable(Sequence[PriceSeries]):
+    """Closes of N tickers on T strictly ascending ``datetime64[D]`` days, NaN where a ticker has no
+    quote; quoted closes are finite and positive. It is also a read-only sequence of its N columns,
+    each built on demand as the ``PriceSeries`` of its quoted days. Equality is identity."""
+
+    tickers: tuple[str, ...]
+    dates: np.ndarray = field(repr=False)
+    closes: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        dates = _frozen(self, "dates", "datetime64[D]")
+        closes = _frozen(self, "closes")
+        if not _ascending(dates) or closes.shape != (len(dates), len(self.tickers)):
+            raise ValueError(f"{closes.shape} closes for {dates.shape} ascending days x {len(self.tickers)} tickers")
+        if np.isinf(closes).any() or (closes <= 0.0).any():
+            raise NonPositivePrice("table contains infinite or non-positive closes")
+
+    def __len__(self) -> int:
+        return len(self.tickers)
+
+    def __getitem__(self, col: int) -> PriceSeries:
+        quoted = ~np.isnan(self.closes[:, col])
+        return PriceSeries(ticker=self.tickers[col], dates=self.dates[quoted], closes=self.closes[quoted, col])
+
+
+@dataclass(frozen=True, eq=False)
 class PricePanel:
-    """Date-aligned close prices: T ``datetime64[D]`` dates x N tickers, no missing cells."""
+    """Date-aligned close prices: T ``datetime64[D]`` dates x N tickers, no missing cells. Equality is identity."""
 
     tickers: tuple[str, ...]
     dates: np.ndarray = field(repr=False)
@@ -272,10 +298,8 @@ def _read_rows(text: str, label: str, pick_columns: ColumnPicker) -> Table:
     return names, _as_days(days), row_numbers, np.array(cells, dtype=float).reshape(len(days), len(close_cols))
 
 
-def _read_table(
-    source: IO[bytes] | IO[str] | bytes | str, label: str, pick_columns: ColumnPicker
-) -> list[PriceSeries]:
-    """The reader behind both parsers: one series per close column.
+def _read_table(source: IO[bytes] | IO[str] | bytes | str, label: str, pick_columns: ColumnPicker) -> PriceTable:
+    """The reader behind both parsers: one table column per close column.
 
     ``pick_columns`` maps the stripped header to the date column, the series
     names and their close columns. A date may appear on one row only. An
@@ -304,13 +328,9 @@ def _read_table(
     repeated = np.flatnonzero(dates[1:] == dates[:-1])
     if repeated.size:
         raise DuplicateDate(f"{label}: duplicate date {dates[repeated[0]].item().isoformat()}")
-    quoted = ~np.isnan(closes)
-    if not quoted.all():
-        logger.info("%s: dropped %d missing close(s)", label, quoted.size - quoted.sum())
-    return [
-        PriceSeries(ticker=name, dates=dates[quoted[:, col]], closes=closes[quoted[:, col], col])
-        for col, name in enumerate(names)
-    ]
+    if missing := int(np.isnan(closes).sum()):
+        logger.info("%s: dropped %d missing close(s)", label, missing)
+    return PriceTable(tickers=tuple(names), dates=dates, closes=closes)
 
 
 def parse_price_csv(source: IO[bytes] | IO[str] | bytes | str, ticker: str) -> PriceSeries:
@@ -333,8 +353,8 @@ def parse_price_csv(source: IO[bytes] | IO[str] | bytes | str, ticker: str) -> P
 def parse_wide_csv(
     source: IO[bytes] | IO[str] | bytes | str,
     tickers: Iterable[str] | None = None,
-) -> list[PriceSeries]:
-    """Parse a wide CSV (``Date`` plus one close column per ticker).
+) -> PriceTable:
+    """Parse a wide CSV (``Date`` plus one close column per ticker) into one table.
 
     Empty cells are missing quotes for that ticker only. When ``tickers`` is
     given, only those columns are kept, in the given order.
@@ -365,8 +385,8 @@ def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
         return parse_price_csv(handle, ticker or path.stem)
 
 
-def align_panel(series: list[PriceSeries], policy: AlignmentPolicy = "intersection") -> PricePanel:
-    """Join per-ticker series into one panel under the given missing-data policy.
+def align_panel(series: PriceTable | Sequence[PriceSeries], policy: AlignmentPolicy = "intersection") -> PricePanel:
+    """Join a table, or per-ticker series, into one panel under the given missing-data policy.
 
     ``intersection`` keeps only dates quoted by every ticker. ``forward_fill``
     takes the union of dates, carries the last prior close into gaps, and
@@ -377,32 +397,33 @@ def align_panel(series: list[PriceSeries], policy: AlignmentPolicy = "intersecti
     if policy not in ("intersection", "forward_fill"):
         raise ValueError(f"unknown alignment policy {policy!r}")
 
-    tickers = tuple(s.ticker for s in series)
-    unquoted = [s.ticker for s in series if not s.dates.size]
-    if unquoted and policy == "forward_fill":
-        raise EmptyIntersection(f"no quotes for {', '.join(unquoted)}")
-    kept = np.empty(0, dtype="datetime64[D]")
-    if not unquoted:
-        # how many series quote each day from the earliest first date on (series dates are unique)
-        days = [s.dates.view(np.int64) for s in series]
-        origin = min(d[0] for d in days)
-        counts = np.zeros(max(d[-1] for d in days) - origin + 1, dtype=np.min_scalar_type(len(series)))
-        for d in days:
-            counts[d - origin] += 1
-        if policy == "intersection":
-            offsets = np.flatnonzero(counts == len(series))
-        else:  # a date survives once every ticker has at least one quote on or before it
-            start = max(d[0] for d in days) - origin
-            offsets = np.flatnonzero(counts[start:]) + start
-        kept = (offsets + origin).astype("datetime64[D]")
+    if not isinstance(series, PriceTable):  # scattered into one table over the union of their days
+        offsets = np.concatenate([s.dates for s in series]).view(np.int64)
+        origin = offsets.min() if offsets.size else 0
+        present = np.bincount(offsets - origin, minlength=1) > 0  # quoted by any series, by day count from origin
+        cells = (np.cumsum(present)[offsets - origin] - 1) * len(series)  # row-major: row * N + column
+        cells += np.repeat(np.arange(len(series)), [s.dates.size for s in series])
+        closes = np.full(present.sum() * len(series), np.nan)
+        closes[cells] = np.concatenate([s.closes for s in series])
+        days = (np.flatnonzero(present) + origin).astype("datetime64[D]")
+        series = PriceTable(tuple(s.ticker for s in series), dates=days, closes=closes.reshape(-1, len(series)))
+    tickers, quoted = series.tickers, ~np.isnan(series.closes)
+    if policy == "intersection":
+        kept = np.flatnonzero(quoted.all(axis=1))
+        closes = series.closes[kept]
+    else:  # rows from the latest first quote on that any ticker quotes; each carries its last quote
+        unquoted = [ticker for ticker, any_quote in zip(tickers, quoted.any(axis=0).tolist()) if not any_quote]
+        if unquoted:
+            raise EmptyIntersection(f"no quotes for {', '.join(unquoted)}")
+        start = quoted.argmax(axis=0).max()
+        kept = np.flatnonzero(quoted[start:].any(axis=1)) + start
+        last = np.maximum.accumulate(np.where(quoted, np.arange(len(quoted))[:, None], 0), axis=0)
+        closes = np.take_along_axis(series.closes, last[kept], axis=0)
     if not kept.size:  # forward fill always keeps the latest first date
         raise EmptyIntersection(f"no common dates across {', '.join(tickers)}")
-
     if kept.size < 2:
         raise InsufficientHistory(f"{kept.size} aligned date(s) across {', '.join(tickers)}, need >= 2")
-    # each ticker's last quote on or before each kept date: under intersection, that day's own
-    closes = np.column_stack([s.closes[np.searchsorted(s.dates, kept, "right") - 1] for s in series])
-    return PricePanel(tickers=tickers, dates=kept, closes=closes)
+    return PricePanel(tickers=tickers, dates=series.dates[kept], closes=closes)
 
 
 def slice_period(panel: PricePanel, period: PeriodSpec) -> PricePanel:

@@ -16,13 +16,13 @@ Method = Literal["HRP", "EIGEN"]
 WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortfolioWeights:
     """Ticker -> weight allocation produced by one construction method.
 
     Weights always sum to 1. HRP weights are additionally long-only by
     construction, so every entry must lie in (0, 1]; eigen weights may be
-    negative (shorts).
+    negative (shorts). Equality is identity: compare the arrays.
     """
 
     tickers: tuple[str, ...]

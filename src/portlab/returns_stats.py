@@ -8,7 +8,7 @@ configurable annual risk-free rate defaulting to 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -37,9 +37,9 @@ def _square_matrix(instance: Any, kind: str) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnsMatrix:
-    """T x N simple daily returns of named assets or portfolios; each row stamped with the later day."""
+    """T x N simple daily returns of named assets or portfolios, each row on the later day. Equality is identity."""
 
     tickers: tuple[str, ...]
     dates: np.ndarray = field(repr=False)
@@ -61,16 +61,17 @@ class ReturnsMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """N x N sample covariance of daily returns. Singularity is allowed."""
+    """N x N sample covariance of daily returns. Singularity is allowed. Equality is identity."""
 
     tickers: tuple[str, ...]
     values: np.ndarray = field(repr=False)
+    known_psd: InitVar[bool] = False  # True skips the PSD check: sample_covariance's X'X/(n-1) is PSD
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, known_psd: bool) -> None:
         values = _square_matrix(self, "covariance")
-        if np.linalg.eigvalsh(values).min() < -1e-10:
+        if not known_psd and np.linalg.eigvalsh(values).min() < -1e-10:
             raise ValueError("covariance not positive semi-definite (eigenvalue below -1e-10)")
 
     @property
@@ -78,9 +79,9 @@ class CovarianceMatrix:
         return np.diag(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """N x N correlation with exact unit diagonal and entries in [-1, 1]."""
+    """N x N correlation with exact unit diagonal and entries in [-1, 1]. Equality is identity."""
 
     tickers: tuple[str, ...]
     values: np.ndarray = field(repr=False)
@@ -118,7 +119,7 @@ def sample_covariance(returns: ReturnsMatrix) -> CovarianceMatrix:
     centered = returns.values - returns.values.mean(axis=0)
     cov = centered.T @ centered / (returns.n_obs - 1)
     cov = (cov + cov.T) / 2.0
-    return CovarianceMatrix(tickers=returns.tickers, values=cov)
+    return CovarianceMatrix(tickers=returns.tickers, values=cov, known_psd=True)
 
 
 def correlation(cov: CovarianceMatrix) -> CorrelationMatrix:

@@ -297,6 +297,21 @@ class TestRunExperiment:
         assert status == EXIT_OK
         assert len(calls) == 2
 
+    def test_one_eigendecomposition_per_sector(self, fixture_config, monkeypatch):
+        # the sample covariance is PSD by construction: no eigvalsh check, and fit_pca's one eigh
+        config = load_config(fixture_config)
+        train_panel, _ = portlab.cli._load_sector_panels(config.sectors[0], config)
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name, original in [(name, getattr(np.linalg, name)) for name in calls]:
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        portlab.cli._build_sector(train_panel, config)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
     def test_alignment_policies_with_quote_gaps(self, fixture_config, tmp_path):
         # punch holes into one ticker's history; forward_fill keeps the union
         # of dates while intersection drops the gapped ones

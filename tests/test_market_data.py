@@ -555,6 +555,78 @@ class TestIngestProperties:
             align_panel(members, policy)
 
 
+def reference_outcome(members, policy):
+    """What align_panel must give for ``members``: the brute-force alignment's (date bits, close
+    bits), or the error type and text its rules name first."""
+    names, unquoted = ", ".join(s.ticker for s in members), [s.ticker for s in members if not s.dates.size]
+    if len(members) < 2:
+        return ValueError, "align_panel needs at least 2 series"
+    if unquoted and policy == "forward_fill":
+        return EmptyIntersection, f"no quotes for {', '.join(unquoted)}"
+    kept, closes = ([], []) if unquoted else reference_alignment(members, policy)
+    if not kept:
+        return EmptyIntersection, f"no common dates across {names}"
+    if len(kept) < 2:
+        return InsufficientHistory, f"1 aligned date(s) across {names}, need >= 2"
+    return np.array(kept, "datetime64[D]").tobytes(), np.array(closes, float).tobytes()
+
+
+def aligned(members, policy):
+    """The panel's (date bits, close bits), or the error's type and text."""
+    try:
+        panel = align_panel(members, policy)
+    except (PortlabError, ValueError) as error:
+        return type(error), str(error)
+    return panel.dates.tobytes(), panel.closes.tobytes()
+
+
+@st.composite
+def wide_texts(draw):
+    """A wide CSV of up to 4 tickers on distinct days in any order, its cells closes or missing
+    quotes; often with an all-blank row and a ticker with no quote."""
+    n_tickers = draw(st.sampled_from([1, 2, 2, 3, 3, 4, 4]))
+    offsets = draw(st.lists(st.one_of(far_days_st, st.integers(0, 40)), min_size=2, max_size=12, unique=True))
+    cells = st.one_of(closes_st.map(repr), closes_st.map(repr), cells_st)  # 5 in 6 quoted
+    rows = [draw(st.lists(cells, min_size=n_tickers, max_size=n_tickers)) for _ in offsets]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = [""] * n_tickers
+    if draw(st.integers(0, 3)) == 0:
+        unquoted = draw(st.integers(0, n_tickers - 1))
+        for row in rows:
+            row[unquoted] = ""
+    tickers = [f"T{i}" for i in range(n_tickers)]
+    lines = [",".join(["Date", *tickers])]
+    lines += [",".join([date.fromordinal(BASE_DAY + d).isoformat(), *row]) for d, row in zip(offsets, rows)]
+    picked = st.lists(st.sampled_from(tickers), unique=True)  # a subset, in any order
+    return "\n".join(lines) + "\n", draw(st.one_of(st.none(), st.none(), picked))
+
+
+class TestTableAlignment:
+    @settings(deadline=None, max_examples=300)
+    @given(wide=wide_texts(), policy=st.sampled_from(["intersection", "forward_fill"]))
+    # an all-blank row inside the forward-filled span; a ticker with no quote, picked out of order
+    @example(
+        wide=("Date,A,B\n2021-01-01,1,\n2021-01-04,,\n2021-01-05,2,3\n2021-01-06,,4\n", None),
+        policy="forward_fill",
+    )
+    @example(wide=("Date,A,B,C\n2021-01-01,1,,2\n2021-01-04,3,,4\n", ["C", "B", "A"]), policy="intersection")
+    def test_table_and_series_align_as_the_reference(self, wide, policy):
+        table = parse_wide_csv(*wide)
+        expected = reference_outcome(list(table), policy)
+        assert aligned(table, policy) == expected
+        assert aligned(list(table), policy) == expected
+
+    def test_table_is_a_sequence_of_its_series(self):
+        table = parse_wide_csv("Date,A,B\n2021-01-04,1,\n2021-01-01,,2\n2021-01-05,3,4\n")
+        a, b = table
+        assert len(table) == 2 and table[-1].ticker == "B" and [s.ticker for s in table] == ["A", "B"]
+        assert a.dates.tolist() == [date(2021, 1, 4), date(2021, 1, 5)] and a.closes.tolist() == [1.0, 3.0]
+        assert b.dates.tolist() == [date(2021, 1, 1), date(2021, 1, 5)] and b.closes.tolist() == [2.0, 4.0]
+        assert np.isnan(table.closes).tolist() == [[True, False], [False, True], [False, False]]
+        with pytest.raises(IndexError):
+            table[2]
+
+
 DAY_ST = st.integers(0, 40).map(lambda d: date.fromordinal(BASE_DAY + d).isoformat())
 BAD_DATES = ["20200102", "2020-01-02T05", " 2020-01-02", "2020-01-02 ", "2020-W01-1", "", "x"]
 ODD_CLOSES = ["1_000", "5#x", "inf", "nan", "", "0", "-1", " 7 ", "8\x00", "9\x85", "\u20281", "1\r2", '"3"']
@@ -596,7 +668,7 @@ def outcome(parse):
         result = parse()
     except Exception as error:  # the two readers must fail alike, whatever the error
         return type(error), str(error)
-    members = result if isinstance(result, list) else [result]
+    members = [result] if isinstance(result, PriceSeries) else result  # a table reads as its series
     return [(s.ticker, s.dates.tobytes(), s.closes.tobytes()) for s in members]
 
 
@@ -765,12 +837,13 @@ class TestDatedCsv:
         values = data.draw(st.lists(FINITE_ST, min_size=len(days), max_size=len(days)))
         # a returns_*.csv is one column of a period's ReturnsMatrix, a strided view
         matrix = ReturnsMatrix(("A", "B"), tuple(days), np.column_stack([np.zeros(len(days)), values]))
-        returns = _dated_csv_text(("date", "return"), matrix.dates, matrix.values[:, 1])
+        days_text = np.datetime_as_string(matrix.dates).tolist()
+        returns = _dated_csv_text(("date", "return"), days_text, matrix.values[:, 1])
         assert returns == _csv_text(("date", "return"), zip(days, values))
         closes = [abs(v) or 5e-324 for v in values]
         prices = PriceSeries("A", dates=days, closes=closes)
         assert prices.to_csv() == _csv_text(("Date", "Close"), zip(days, closes))
 
     def test_empty_series_is_the_header_line(self):
-        assert _dated_csv_text(("date", "return"), np.empty(0, "datetime64[D]"), np.empty(0)) == "date,return\n"
+        assert _dated_csv_text(("date", "return"), [], np.empty(0)) == "date,return\n"
         assert PriceSeries("A", dates=[], closes=[]).to_csv() == "Date,Close\n"

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from portlab.eigen import PCAModel
-from portlab.errors import MalformedTree
+from portlab.errors import MalformedTree, NonPositivePrice
 from portlab.hrp import DistanceMatrix, LinkageTree
-from portlab.market_data import PricePanel, PriceSeries
+from portlab.market_data import PricePanel, PriceSeries, PriceTable
 from portlab.portfolio import PortfolioWeights
 from portlab.returns_stats import CorrelationMatrix, CovarianceMatrix, ReturnsMatrix
 
@@ -26,6 +26,7 @@ THIRDS = np.full(3, 1.0 / 3.0)
 
 VALUE_TYPES = [
     pytest.param(lambda: PriceSeries("A", dates=list(DAYS), closes=[1.0, 2.0, 3.0]), id="PriceSeries"),
+    pytest.param(lambda: PriceTable(TICKERS, DAYS, [[1.0, NAN, 2.0]] * 3), id="PriceTable"),
     pytest.param(lambda: PricePanel(TICKERS, DAYS, np.ones((3, 3))), id="PricePanel"),
     pytest.param(lambda: ReturnsMatrix(TICKERS, DAYS, np.zeros((3, 3))), id="ReturnsMatrix"),
     pytest.param(lambda: CovarianceMatrix(TICKERS, EYE), id="CovarianceMatrix"),
@@ -53,6 +54,16 @@ def test_array_fields_are_cast_and_read_only(build):
     own = {name: values.copy() for name, values in arrays.items()}
     rebuilt = replace(instance, **own)
     assert all(getattr(rebuilt, name) is own[name] and not own[name].flags.writeable for name in own)
+
+
+@pytest.mark.parametrize("build", VALUE_TYPES)
+def test_equality_is_identity(build):
+    # an equal copy is another value: == answers False instead of raising on the arrays
+    instance, twin = build(), build()
+    assert instance == instance
+    assert (instance == twin) is False
+    assert instance != twin
+    assert hash(instance) == hash(instance)
 
 
 def with_nan(values, index):
@@ -119,12 +130,33 @@ def test_nan_rejected(build, error):
             "returns dates not strictly increasing",
             id="ReturnsMatrix",
         ),
+        pytest.param(
+            lambda days: PriceTable(TICKERS, days, np.ones((3, 3))),
+            "(3, 3) closes for (3,) ascending days x 3 tickers",
+            id="PriceTable",
+        ),
     ],
 )
 def test_unordered_dates_rejected(build, message, days):
     with pytest.raises(ValueError) as caught:
         build(days)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "closes, error",
+    [
+        pytest.param(np.ones((3, 2)), ValueError, id="shape"),
+        pytest.param(np.ones((2, 3)), ValueError, id="rows"),
+        pytest.param(with_nan(np.ones((3, 3)), (1, 2)) * [1.0, 1.0, np.inf], NonPositivePrice, id="inf"),
+        pytest.param(with_nan(np.ones((3, 3)), (1, 2)) - [0.0, 1.0, 0.0], NonPositivePrice, id="zero"),
+        pytest.param(with_nan(np.ones((3, 3)), (1, 2)) - [2.0, 0.0, 0.0], NonPositivePrice, id="negative"),
+    ],
+)
+def test_table_rejects_bad_closes(closes, error):
+    # a NaN cell is a missing quote; every quoted cell is finite and positive
+    with pytest.raises(error):
+        PriceTable(TICKERS, DAYS, closes)
 
 
 def test_missing_day_rejected_in_one_row_returns():

@@ -14,8 +14,8 @@ rank-deficient covariances are handled without special casing.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import Any, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -74,10 +74,6 @@ class LinkageTree:
         if len(faults):
             k, rule = faults[0]
             raise MalformedTree(f"row {k} {rows[k].tolist()}: {list(rules)[rule]}")
-
-    @property
-    def root_id(self) -> int:
-        return self.n_leaves + len(self.rows) - 1
 
 
 @dataclass(frozen=True)
@@ -188,22 +184,17 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
 
 
 def quasi_diagonalize(tree: LinkageTree) -> SeriationOrder:
-    """Leaf order of the dendrogram: a depth-first walk from the root, left first.
+    """Leaf order of the dendrogram, left first, built in row order: each merge
+    concatenates its children's orders, and the root's is the seriation.
 
     This puts similar assets next to each other, concentrating large
     covariance entries near the diagonal of the reordered matrix.
     """
-    n, children = tree.n_leaves, tree.rows[:, :2].astype(int).tolist()
-    order: list[int] = []
-    stack = [tree.root_id]
-    while stack:
-        node = stack.pop()
-        if node < n:
-            order.append(node)
-        else:
-            left, right = children[node - n]
-            stack += (right, left)
-    return SeriationOrder(order=tuple(order))
+    orders = [(leaf,) for leaf in range(tree.n_leaves)]
+    for left, right in tree.rows[:, :2].astype(int).tolist():
+        orders.append(orders[left] + orders[right])
+        orders[left] = orders[right] = ()  # merged: keeps live orders O(n)
+    return SeriationOrder(order=orders[-1])
 
 
 def _inverse_variance(variances: np.ndarray, tickers: Sequence[str]) -> np.ndarray:
@@ -319,31 +310,16 @@ def build_hrp_portfolio(
 def dendrogram_json(tree: LinkageTree, tickers: Sequence[str]) -> str:
     """Nested {id, height, children} tree with ticker labels on the leaves, as JSON.
 
-    The text is ``json.dumps(..., indent=2, sort_keys=True)`` of the nested dicts
-    plus a newline, built from an explicit stack: a tree can nest n - 1 deep.
+    The text is ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of the
+    nested dicts plus a newline, built in row order: each merge wraps its
+    children's texts, so a tree n - 1 deep needs no recursion.
     """
     n = tree.n_leaves
     if len(tickers) != n:
         raise ValueError(f"{len(tickers)} labels for {n} leaves")
     children, heights = tree.rows[:, :2].astype(int).tolist(), tree.rows[:, 2].tolist()  # Python floats repr bare
-    parts: list[str] = []
-    stack: list[str | tuple[int, int]] = [(tree.root_id, 0)]  # text to emit, or (node id, depth)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        node, depth = item
-        pad = "\n" + "  " * (depth + 1)  # before each key
-        close = "\n" + "  " * depth + "}"
-        if node < n:
-            ticker = encode_basestring_ascii(tickers[node])
-            parts.append(f'{{{pad}"height": 0.0,{pad}"id": {node},{pad}"ticker": {ticker}{close}')
-            continue
-        left, right = children[node - n]
-        child_pad = pad + "  "
-        parts.append(f'{{{pad}"children": [{child_pad}')
-        # popped in reverse: left child, separator, right child, then this node's other keys
-        stack.append(f'{pad}],{pad}"height": {heights[node - n]!r},{pad}"id": {node}{close}')
-        stack.extend(((right, depth + 2), f",{child_pad}", (left, depth + 2)))
-    return "".join(parts) + "\n"
+    texts = [f'{{"height":0.0,"id":{leaf},"ticker":{json.dumps(ticker)}}}' for leaf, ticker in enumerate(tickers)]
+    for node, ((left, right), height) in enumerate(zip(children, heights), start=n):
+        texts.append(f'{{"children":[{texts[left]},{texts[right]}],"height":{height!r},"id":{node}}}')
+        texts[left] = texts[right] = ""  # merged: keeps live text O(n) bytes
+    return texts[-1] + "\n"

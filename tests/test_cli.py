@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -272,6 +273,23 @@ class TestRunExperiment:
         assert [r.sector for r in results] == ["sector2"]
         assert not (tmp_path / "out" / "sector1").exists()
 
+    def test_filtered_run_summarizes_the_tree(self, tmp_path):
+        config = load_config(write_fixture(tmp_path, n_sectors=3, tickers_per_sector=4, seed=5))
+        summary = tmp_path / "out" / "summary.json"
+        run_experiment(config)
+        full = summary.read_bytes()
+        assert run_experiment(config, sector_filter="sector2")[0] == EXIT_OK
+        assert summary.read_bytes() == full
+        assert sorted(json.loads(full)["winners"]) == ["sector1", "sector2", "sector3"]
+        for damaged in ("[]", "{"):  # a report.json that is no report is left out, not a traceback
+            (tmp_path / "out" / "sector3" / "report.json").write_text(damaged)
+            assert run_experiment(config, sector_filter="sector2")[0] == EXIT_OK
+            assert list(json.loads(summary.read_text())["winners"]) == ["sector1", "sector2"]
+        # the other sectors' reports hold the old config_hash, so they drop out
+        assert run_experiment(replace(config, risk_free_rate=0.05), sector_filter="sector2")[0] == EXIT_OK
+        assert list(json.loads(summary.read_text())["winners"]) == ["sector2"]
+        assert (tmp_path / "out" / "sector1" / "report.json").exists()
+
     def test_unknown_sector_filter(self, fixture_config):
         config = load_config(fixture_config)
         with pytest.raises(ConfigError):
@@ -538,6 +556,17 @@ class TestMainEntry:
         monkeypatch.chdir(tmp_path / "syn")
         assert main(["run", "--config", "config.json"]) == EXIT_OK
         assert (tmp_path / "syn" / "out" / "summary.json").is_file()
+
+    @pytest.mark.parametrize(
+        "counts",
+        [["--tickers", "1"], ["--tickers", "-2"], ["--sectors", "0"], ["--sectors", "-1"]],
+        ids=["one-ticker", "negative-tickers", "no-sector", "negative-sectors"],
+    )
+    def test_synthetic_rejects_counts_that_make_no_fixture(self, tmp_path, capsys, counts):
+        with pytest.raises(SystemExit) as exit_info:
+            synthetic_main(["--out", str(tmp_path / "syn"), *counts])
+        assert exit_info.value.code == 2 and "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "syn").exists()
 
     def test_env_overrides(self, fixture_config, tmp_path, monkeypatch):
         monkeypatch.setenv("PORTLAB_RISK_FREE", "0.05")

@@ -6,7 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import two_block_returns
@@ -36,6 +36,9 @@ from portlab.returns_stats import (
 )
 
 
+COMPACT = (",", ":")  # json.dumps separators with no whitespace
+
+
 def tickers_for(n):
     return tuple(f"T{i:02d}" for i in range(n))
 
@@ -53,9 +56,52 @@ def hrp_of(returns, linkage_method="ward"):
     return build_hrp_portfolio(cov, correlation(cov), linkage_method=linkage_method)
 
 
+def uniform_distances(rng, n):
+    """A symmetric n x n distance matrix, off-diagonal entries uniform on [0.1, 1)."""
+    values = rng.uniform(0.1, 1.0, size=(n, n))
+    values = (values + values.T) / 2.0
+    np.fill_diagonal(values, 0.0)
+    return values
+
+
 def distance_from(values, labels=None):
     values = np.asarray(values, dtype=float)
     return DistanceMatrix(tickers=labels or tickers_for(values.shape[0]), values=values)
+
+
+def dendrogram_dict(tree, tickers):
+    """Reference for dendrogram_json: the nested {id, height, children} dicts."""
+    nodes = [{"id": index, "ticker": ticker, "height": 0.0} for index, ticker in enumerate(tickers)]
+    for k, (left, right, height, _) in enumerate(tree.rows.tolist()):
+        children = [nodes[int(left)], nodes[int(right)]]
+        nodes.append({"id": tree.n_leaves + k, "height": height, "children": children})
+    return nodes[-1]
+
+
+@st.composite
+def random_trees(draw):
+    """A valid LinkageTree over 1-12 leaves, with tickers that JSON must escape."""
+    n = draw(st.integers(1, 12))
+    tickers = draw(
+        st.lists(st.text(alphabet="aé\",\\\n", min_size=1, max_size=4), min_size=n, max_size=n)
+    )
+    steps = draw(st.lists(st.floats(0.0, 10.0), min_size=n - 1, max_size=n - 1))
+    active, sizes, rows = list(range(n)), {leaf: 1 for leaf in range(n)}, []
+    for k, step in enumerate(steps):
+        a = active.pop(draw(st.integers(0, len(active) - 1)))
+        b = active.pop(draw(st.integers(0, len(active) - 1)))
+        left, right = min(a, b), max(a, b)
+        height = (rows[-1][2] if rows else 0.0) + step
+        rows.append([left, right, height, sizes[left] + sizes[right]])
+        sizes[n + k] = rows[-1][3]
+        active.append(n + k)
+    return LinkageTree(n_leaves=n, rows=np.reshape(rows, (n - 1, 4))), tickers
+
+
+def chain(n):
+    """n leaves merged one at a time: the deepest tree n leaves can make."""
+    rows = [[0, 1, 0.0, 2]] + [[k + 1, n + k - 1, float(k), k + 2] for k in range(1, n - 1)]
+    return LinkageTree(n_leaves=n, rows=rows)
 
 
 def correlated_returns(rng, n_obs=260, n_assets=8):
@@ -213,9 +259,7 @@ class TestWardLinkage:
         assert tree.rows[:, 2] == pytest.approx(expected, abs=1e-8)
 
     def test_alternative_methods_monotone(self, rng):
-        values = rng.uniform(0.1, 1.0, size=(6, 6))
-        values = (values + values.T) / 2.0
-        np.fill_diagonal(values, 0.0)
+        values = uniform_distances(rng, 6)
         for method in ("single", "complete", "average"):
             tree = ward_linkage(distance_from(values), method=method)
             heights = tree.rows[:, 2]
@@ -278,20 +322,17 @@ class TestQuasiDiagonalize:
 
     def test_always_a_permutation(self, rng):
         for n in (2, 5, 9, 16):
-            values = rng.uniform(0.1, 1.0, size=(n, n))
-            values = (values + values.T) / 2.0
-            np.fill_diagonal(values, 0.0)
+            values = uniform_distances(rng, n)
             order = quasi_diagonalize(ward_linkage(distance_from(values)))
             assert sorted(order.order) == list(range(n))
 
-    def test_matches_scipy_leaf_order(self, rng):
-        values = rng.uniform(0.1, 1.0, size=(10, 10))
-        values = (values + values.T) / 2.0
-        np.fill_diagonal(values, 0.0)
-        tree = ward_linkage(distance_from(values))
-        mine = quasi_diagonalize(tree).order
-        theirs = sch.leaves_list(tree.rows)
-        assert list(mine) == theirs.tolist()
+    @given(random_trees())
+    @example((ward_linkage(distance_from(uniform_distances(np.random.default_rng(20160101), 10))), ()))
+    @example((chain(1000), ()))
+    def test_matches_scipy_leaf_order(self, tree_and_tickers):
+        tree, _ = tree_and_tickers
+        expected = sch.leaves_list(tree.rows).tolist() if tree.n_leaves > 1 else [0]  # scipy needs a row
+        assert list(quasi_diagonalize(tree).order) == expected
 
 
 class TestInverseVarianceWeights:
@@ -592,41 +633,6 @@ class TestPermutationBehavior:
         assert checked >= 3
 
 
-def dendrogram_dict(tree, tickers):
-    """Reference for dendrogram_json: the nested {id, height, children} dicts."""
-    nodes = [{"id": index, "ticker": ticker, "height": 0.0} for index, ticker in enumerate(tickers)]
-    for k, (left, right, height, _) in enumerate(tree.rows.tolist()):
-        children = [nodes[int(left)], nodes[int(right)]]
-        nodes.append({"id": tree.n_leaves + k, "height": height, "children": children})
-    return nodes[-1]
-
-
-@st.composite
-def random_trees(draw):
-    """A valid LinkageTree over 1-12 leaves, with tickers that JSON must escape."""
-    n = draw(st.integers(1, 12))
-    tickers = draw(
-        st.lists(st.text(alphabet="aé\",\\\n", min_size=1, max_size=4), min_size=n, max_size=n)
-    )
-    steps = draw(st.lists(st.floats(0.0, 10.0), min_size=n - 1, max_size=n - 1))
-    active, sizes, rows = list(range(n)), {leaf: 1 for leaf in range(n)}, []
-    for k, step in enumerate(steps):
-        a = active.pop(draw(st.integers(0, len(active) - 1)))
-        b = active.pop(draw(st.integers(0, len(active) - 1)))
-        left, right = min(a, b), max(a, b)
-        height = (rows[-1][2] if rows else 0.0) + step
-        rows.append([left, right, height, sizes[left] + sizes[right]])
-        sizes[n + k] = rows[-1][3]
-        active.append(n + k)
-    return LinkageTree(n_leaves=n, rows=np.reshape(rows, (n - 1, 4))), tickers
-
-
-def chain(n):
-    """n leaves merged one at a time: the deepest tree n leaves can make."""
-    rows = [[0, 1, 0.0, 2]] + [[k + 1, n + k - 1, float(k), k + 2] for k in range(1, n - 1)]
-    return LinkageTree(n_leaves=n, rows=rows)
-
-
 MALFORMED_TREES = [  # each three-leaf tree breaks one rule, at the row the message names
     pytest.param([[0, 1, 0.1, 2]], "expected", id="row-count"),
     pytest.param([[0, 1, 0.1], [2, 3, 0.2]], "expected", id="column-count"),
@@ -683,9 +689,7 @@ class TestLinkageTreeChecks:
             assert str(caught.value) == f"row {k} {rows[k].tolist()}: {rule}"
 
     def test_ward_linkage_rows_are_a_scipy_linkage_matrix(self, rng):
-        values = rng.uniform(0.1, 1.0, size=(12, 12))
-        values = (values + values.T) / 2.0
-        np.fill_diagonal(values, 0.0)
+        values = uniform_distances(rng, 12)
         rows = ward_linkage(distance_from(values)).rows
         assert rows.shape == (11, 4) and rows.dtype == np.float64 and not rows.flags.writeable
         assert sch.is_valid_linkage(rows, throw=True)
@@ -706,17 +710,19 @@ class TestDendrogramExport:
             dendrogram_json(tree, ("only",))
 
     @given(random_trees())
-    def test_matches_indented_json_dump(self, tree_and_tickers):
+    def test_matches_compact_json_dump(self, tree_and_tickers):
         tree, tickers = tree_and_tickers
-        expected = json.dumps(dendrogram_dict(tree, tickers), indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(dendrogram_dict(tree, tickers), sort_keys=True, separators=COMPACT) + "\n"
         assert dendrogram_json(tree, tickers) == expected
 
     def test_deep_chain_writes(self):
         # a chain nests one level per merge; json.dumps fails near 500 levels
         small = chain(50)
-        expected = json.dumps(dendrogram_dict(small, tickers_for(50)), indent=2, sort_keys=True)
+        expected = json.dumps(dendrogram_dict(small, tickers_for(50)), sort_keys=True, separators=COMPACT)
         assert dendrogram_json(small, tickers_for(50)) == expected + "\n"
         text = dendrogram_json(chain(1000), tickers_for(1000))
-        assert text.count('"ticker": ') == 1000 and text.count('"children": [') == 999
-        assert "\n" + "  " * 1999 + '"ticker": "T00"\n' in text  # leaf 0, 999 levels down
-        assert text.endswith('\n  "height": 998.0,\n  "id": 1998\n}\n')
+        assert text.count('"ticker":') == 1000 and text.count('"children":[') == 999
+        before_leaf_0 = text[: text.index('{"height":0.0,"id":0,"ticker":"T00"}')]
+        assert before_leaf_0.count("[") - before_leaf_0.count("]") == 999  # leaf 0, 999 levels down
+        assert text.endswith('],"height":998.0,"id":1998}\n')
+        assert len(text.encode()) < 100_000  # 22 MB when every level was indented

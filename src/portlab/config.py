@@ -14,14 +14,12 @@ import math
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from datetime import date
-from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
 
 from .errors import ConfigError
 from .hrp import LinkageMethod
-from .market_data import AlignmentPolicy, PeriodSpec
+from .market_data import AlignmentPolicy, PeriodSpec, _iso_day
 
 
 class Setting(NamedTuple):
@@ -119,7 +117,7 @@ def _parse_period(raw: Any, label: str, problems: list[str]) -> PeriodSpec | Non
         problems.append(f"{label}: expected an object with 'start' and 'end'")
         return None
     try:
-        start, end = (date.fromisoformat(str(raw[key])) for key in ("start", "end"))
+        start, end = (_iso_day(str(raw[key])) for key in ("start", "end"))
         return PeriodSpec(label=label, start=start, end=end)  # type: ignore[arg-type]
     except ValueError as bad:
         problems.append(f"{label}: {bad}")
@@ -233,9 +231,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except (ValueError, RecursionError) as bad:  # bad syntax or bytes, integers over 4,300 digits, deep nesting
         raise ConfigError([f"config {path} is not valid JSON: {bad}"]) from bad
     return validate_config(raw)
-
-
-def load_sector_constituents() -> dict[str, Any]:
-    """Bundled sector constituent lists with their index contributions."""
-    text = resources.files("portlab.data").joinpath("sector_constituents.json").read_text("utf-8")
-    return json.loads(text)

@@ -96,7 +96,7 @@ def fit_pca(matrix: CorrelationMatrix | CovarianceMatrix) -> PCAModel:
     eigenvalues, vectors = np.linalg.eigh(matrix.values)
     descending = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[descending]
-    vectors = vectors[:, descending]
+    vectors = np.take(vectors, descending, axis=1)  # C-ordered, as PCAModel stores it: no second copy
     if eigenvalues.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"eigenvalue {eigenvalues.min()} below numerical floor")
     eigenvalues = np.maximum(eigenvalues, 0.0)

@@ -211,18 +211,6 @@ def _block_variance(block: np.ndarray, tickers: Sequence[str]) -> float:
     return float(w @ block @ w)
 
 
-def inverse_variance_weights(cov: CovarianceMatrix, subset: Sequence[int]) -> np.ndarray:
-    """Weights proportional to 1/variance over the given asset indices."""
-    indices = list(subset)
-    return _inverse_variance(cov.values[indices, indices], [cov.tickers[i] for i in indices])
-
-
-def cluster_variance(cov: CovarianceMatrix, subset: Sequence[int]) -> float:
-    """Variance of the inverse-variance allocation over a cluster: w' V w."""
-    indices = list(subset)
-    return _block_variance(cov.values[np.ix_(indices, indices)], [cov.tickers[i] for i in indices])
-
-
 def recursive_bisection(
     cov: CovarianceMatrix,
     order: SeriationOrder,

@@ -38,12 +38,14 @@ def _frozen(instance: object, name: str, dtype: type | str = float) -> np.ndarra
     """Cast the frozen dataclass field ``name`` to a read-only ``dtype`` array,
     store it back on ``instance`` and return it.
 
-    The value type takes ownership of the array it is given: an array that
-    already has ``dtype`` is frozen in place, not copied, so the caller's own
-    array turns read-only, even when the constructor then rejects it.
+    The value type takes ownership of the array it is given: a C-ordered array
+    that already has ``dtype`` is frozen in place, not copied, so the caller's
+    own array turns read-only, even when the constructor then rejects it. Any
+    other array is copied to C order, so numpy's sums run in one order whatever
+    the caller's layout.
     """
     given = getattr(instance, name)
-    values = np.asarray(given, dtype=dtype)
+    values = np.asarray(given, dtype=dtype, order="C")
     if values.base is given and values.dtype == given.dtype:  # a view, as numpy gives for datetime64
         values = given
     values.flags.writeable = False
@@ -81,6 +83,16 @@ def _as_days(days: Sequence[date]) -> np.ndarray:
     """``datetime64[D]`` array of ``days``, built from ordinals (far cheaper than from dates)."""
     ordinals = np.fromiter(map(date.toordinal, days), dtype=np.int64, count=len(days))
     return (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+
+
+def _iso_day(text: str) -> date:
+    """The ``YYYY-MM-DD`` day ``text`` names. Only that form is read, as Python
+    3.10 reads it: 3.11 and later ``date.fromisoformat`` also take ``20210104``
+    and ``2021-W01-1``."""
+    digits = text[:4] + text[5:7] + text[8:]
+    if len(text) != 10 or text[4] + text[7] != "--" or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 def _ascending(days: np.ndarray) -> bool:
@@ -247,10 +259,16 @@ def _read_clean(text: str, pick_columns: ColumnPicker) -> Table | None:
         raw = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
         ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
         widths = np.diff(ends, prepend=-1, append=raw.size) - 1  # in bytes, one per field
+        # every date field 10 bytes wide with "-" at bytes 4 and 7, so that date.fromisoformat
+        # reads it as _iso_day does on any Python
+        date_starts = np.concatenate(([0], ends + 1))[date_col::n_fields]
         if (
             ends.size != len(rows) * n_fields - 1
             or (raw[ends[n_fields - 1 :: n_fields]] != ord("\n")).any()
             or widths.max() > limit
+            or (widths[date_col::n_fields] != 10).any()
+            or (raw[date_starts + 4] != ord("-")).any()
+            or (raw[date_starts + 7] != ord("-")).any()
         ):
             return None
         # the separators are ASCII, so field k in bytes is field k of the split; a blank cell reads
@@ -286,7 +304,7 @@ def _read_rows(text: str, label: str, pick_columns: ColumnPicker) -> Table:
             if len(row) != len(header):
                 raise MalformedCsv(f"{label}: row {row_number} has {len(row)} fields, header has {len(header)}")
             try:
-                days.append(date.fromisoformat(row[date_col].strip()))
+                days.append(_iso_day(row[date_col].strip()))
             except ValueError:
                 raise MalformedCsv(f"row {row_number}: bad date {row[date_col]!r} (want YYYY-MM-DD)") from None
             row_numbers.append(row_number)
@@ -302,13 +320,14 @@ def _read_table(source: IO[bytes] | IO[str] | bytes | str, label: str, pick_colu
     """The reader behind both parsers: one table column per close column.
 
     ``pick_columns`` maps the stripped header to the date column, the series
-    names and their close columns. A date may appear on one row only. An
+    names and their close columns. A date is ``YYYY-MM-DD`` (``_iso_day``),
+    with spaces around it stripped, and may appear on one row only. An
     empty, non-numeric or non-finite close is a missing quote. A clean table,
     as ``PriceSeries.to_csv`` and unquoted wide files with blank cells are,
     is split in blocks of rows by ``_read_clean``. Any ``"`` or ``\\r``, an
-    empty header line, a row of another arity, a blank row, a date
-    ``date.fromisoformat`` rejects unstripped or a field over the csv module's
-    limit in UTF-8 bytes sends the text to the row loop of ``_read_rows``,
+    empty header line, a row of another arity, a blank row, a date field not
+    in that form as it stands or a field over the csv module's limit in UTF-8
+    bytes sends the text to the row loop of ``_read_rows``,
     which names the row of an arity or date fault and the line of a csv
     reader fault.
     """

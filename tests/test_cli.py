@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import portlab.cli
 from conftest import output_tree
 from portlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, config_hash, main, run_experiment
-from portlab.config import SETTINGS, load_config, load_sector_constituents, validate_config
+from portlab.config import SETTINGS, load_config, validate_config
 from portlab.errors import ConfigError
 from portlab.market_data import PricePanel
 from portlab.synthetic import main as synthetic_main
@@ -172,18 +172,6 @@ class TestSettingsTable:
         for key, setting in SETTINGS.items():
             documented = [line for line in section.splitlines() if line.startswith(f"- `{key}`")]
             assert len(documented) == 1 and f"`{json.dumps(setting.default)}`" in documented[0]
-
-
-class TestSectorConstituents:
-    def test_bundled_fixture_shape(self):
-        bundle = load_sector_constituents()
-        sectors = bundle["sectors"]
-        assert len(sectors) == 7
-        assert len(sectors["auto"]) == 10
-        maruti = sectors["auto"][0]
-        assert maruti["name"] == "Maruti Suzuki"
-        assert maruti["index_weight"] == 19.98
-        assert sectors["information_technology"][0]["symbol"] == "INFY"
 
 
 @pytest.fixture

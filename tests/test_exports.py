@@ -26,3 +26,17 @@ def test_all_lists_every_public_name_once():
     }
     assert len(portlab.__all__) == len(set(portlab.__all__))
     assert set(portlab.__all__) == public
+
+
+def test_every_public_name_is_used_inside_the_package():
+    """Each export is loaded, by name or attribute, in a package module other than
+    ``__init__``, so the package exports no code that only its tests call."""
+    package = Path(portlab.__file__).parent
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in package.glob("*.py")
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(set(portlab.__all__) - loaded) == []

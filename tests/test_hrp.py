@@ -17,11 +17,11 @@ from portlab.hrp import (
     DistanceMatrix,
     LinkageTree,
     SeriationOrder,
+    _block_variance,
+    _inverse_variance,
     build_hrp_portfolio,
-    cluster_variance,
     correlation_distance,
     dendrogram_json,
-    inverse_variance_weights,
     quasi_diagonalize,
     recursive_bisection,
     ward_linkage,
@@ -337,36 +337,29 @@ class TestQuasiDiagonalize:
 
 class TestInverseVarianceWeights:
     def test_two_assets(self):
-        cov = CovarianceMatrix(tickers=("A", "B"), values=np.diag([1.0, 4.0]))
-        assert inverse_variance_weights(cov, [0, 1]) == pytest.approx([0.8, 0.2])
+        assert _inverse_variance(np.array([1.0, 4.0]), ("A", "B")) == pytest.approx([0.8, 0.2])
 
     def test_equal_variances(self):
-        cov = CovarianceMatrix(tickers=tickers_for(3), values=np.diag([2.0, 2.0, 2.0]))
-        assert inverse_variance_weights(cov, [0, 1, 2]) == pytest.approx([1 / 3] * 3)
+        assert _inverse_variance(np.array([2.0, 2.0, 2.0]), tickers_for(3)) == pytest.approx([1 / 3] * 3)
 
     def test_singleton(self):
-        cov = CovarianceMatrix(tickers=("A", "B"), values=np.diag([1.0, 4.0]))
-        assert inverse_variance_weights(cov, [1]).tolist() == [1.0]
+        assert _inverse_variance(np.array([4.0]), ("B",)).tolist() == [1.0]
 
     def test_zero_variance_rejected(self):
-        cov = CovarianceMatrix(tickers=("A", "B"), values=np.diag([1.0, 0.0]))
         with pytest.raises(ZeroVarianceAsset) as caught:
-            inverse_variance_weights(cov, [0, 1])
+            _inverse_variance(np.array([1.0, 0.0]), ("A", "B"))
         assert caught.value.tickers == ["B"]
 
 
 class TestClusterVariance:
     def test_two_asset_diagonal(self):
-        cov = CovarianceMatrix(tickers=("A", "B"), values=np.diag([1.0, 4.0]))
-        assert cluster_variance(cov, [0, 1]) == pytest.approx(0.8)
+        assert _block_variance(np.diag([1.0, 4.0]), ("A", "B")) == pytest.approx(0.8)
 
     def test_singleton_is_own_variance(self):
-        cov = CovarianceMatrix(tickers=("A", "B"), values=np.diag([1.0, 4.0]))
-        assert cluster_variance(cov, [1]) == pytest.approx(4.0)
+        assert _block_variance(np.array([[4.0]]), ("B",)) == pytest.approx(4.0)
 
     def test_identity_three(self):
-        cov = CovarianceMatrix(tickers=tickers_for(3), values=np.eye(3))
-        assert cluster_variance(cov, [0, 1, 2]) == pytest.approx(1 / 3)
+        assert _block_variance(np.eye(3), tickers_for(3)) == pytest.approx(1 / 3)
 
 
 class TestRecursiveBisection:

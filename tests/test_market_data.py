@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_panel
 from portlab import market_data
+from portlab.config import validate_config
 from portlab.errors import (
     DuplicateDate,
     EmptyIntersection,
@@ -70,6 +71,38 @@ class TestParsePriceCsv:
     def test_bad_date(self):
         with pytest.raises(MalformedCsv):
             parse_price_csv("Date,Close\n01/04/2021,5\n", "A")
+
+    @pytest.mark.parametrize("day", ["20210104", "2021-W01-1"])  # read by date.fromisoformat from 3.11 on
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            pytest.param(
+                lambda day: parse_price_csv(f"Date,Close\n{day},5\n", "A"),
+                "row 2: bad date {!r} (want YYYY-MM-DD)",
+                id="clean",
+            ),
+            pytest.param(
+                lambda day: parse_price_csv(f'Date,Close\n"{day}",5\n', "A"),
+                "row 2: bad date {!r} (want YYYY-MM-DD)",
+                id="row-loop",
+            ),
+            pytest.param(
+                lambda day: validate_config(
+                    {
+                        "sectors": [{"name": "s", "data": "d", "tickers": ["A", "B"]}],
+                        "train": {"start": day, "end": "2021-06-30"},
+                        "test": {"start": "2021-07-01", "end": "2021-12-31"},
+                    }
+                ),
+                "train: Invalid isoformat string: {!r}",
+                id="config",
+            ),
+        ],
+    )
+    def test_only_yyyy_mm_dd_is_a_date(self, read, message, day):
+        with pytest.raises(PortlabError) as caught:
+            read(day)
+        assert str(caught.value) == message.format(day)
 
     def test_duplicate_date(self):
         with pytest.raises(DuplicateDate):
@@ -398,6 +431,7 @@ class TestInvariants:
             (["2021-01-04", "2021-01-01"], [1.0, 2.0], "A: dates not ascending at 2021-01-01"),
             (["2021-01-01", "NaT"], [1.0, 2.0], "A: (2,) dates (NaT not allowed) for (2,) closes"),
             (["2021-01-01"], [1.0, 2.0], "A: (1,) dates (NaT not allowed) for (2,) closes"),
+            (np.datetime64("2021-01-04"), 1.0, "A: () dates (NaT not allowed) for () closes"),  # 0-d stays 0-d
         ],
     )
     def test_series_rejects_unordered_or_misshapen(self, dates, closes, message):

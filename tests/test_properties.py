@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_panel, panel_from_returns
+from portlab.backtest import evaluate, report_to_csv
 from portlab.cli import _build_sector
 from portlab.config import validate_config
 from portlab.eigen import fit_pca, min_components_for_variance, select_best_eigen
@@ -158,3 +159,24 @@ class TestMetamorphic:
         hrp_scaled = hrp_and_eigen(PricePanel(panel.tickers, panel.dates, closes))[0]
         assert hrp_scaled.order == hrp.order
         assert np.abs(hrp_scaled.weights.weights - hrp.weights.weights).max() <= 1e-12
+
+    @settings(deadline=None, max_examples=40)
+    @given(panel=seeded_panels(), n_train=st.integers(20, 100))
+    def test_memory_order_of_the_closes_changes_no_bit(self, panel, n_train):
+        closes = panel.closes
+        layouts = {
+            "C": np.ascontiguousarray(closes),
+            "F": np.asfortranarray(closes),
+            "strided": np.repeat(closes, 2, axis=0)[::2],  # every other row of a larger array
+        }
+        train = PeriodSpec("train", panel.dates[0], panel.dates[n_train - 1])
+        test = PeriodSpec("test", panel.dates[n_train], panel.dates[-1])
+        outcomes = {}
+        for name, values in layouts.items():
+            laid_out = PricePanel(panel.tickers, panel.dates, values)
+            train_panel, test_panel = slice_period(laid_out, train), slice_period(laid_out, test)
+            weights, files = _build_sector(train_panel, CONFIG)
+            report = evaluate(weights, train_panel, test_panel)
+            outcomes[name] = (files["weights_hrp.csv"], files["weights_eigen.csv"], report_to_csv(report))
+        assert outcomes["F"] == outcomes["C"]
+        assert outcomes["strided"] == outcomes["C"]

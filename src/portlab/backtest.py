@@ -13,6 +13,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .config import _finite
 from .errors import TickerMismatch
 from .market_data import PricePanel, _csv_text
 from .portfolio import PortfolioWeights
@@ -165,18 +166,24 @@ def report_to_json(report: BacktestReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _cell(cell: Mapping[str, Any]) -> PeriodPerformance:
+    """One period's cells read back; each must be a finite JSON number (an int or a float, not a bool)."""
+    values = cell["annual_volatility"], cell["sharpe_ratio"]
+    if not all(map(_finite, values)):
+        raise ValueError(f"report cells {values!r} are not all finite numbers")
+    return PeriodPerformance(*values)
+
+
 def report_from_json(text: str) -> BacktestReport:
+    """The report ``report_to_json`` wrote. Raises ValueError unless it has at least one method,
+    each with the cells of both periods, every cell a finite number."""
     payload = json.loads(text)
     methods = {
-        method: {
-            period: PeriodPerformance(
-                annual_volatility=cell["annual_volatility"],
-                sharpe_ratio=cell["sharpe_ratio"],
-            )
-            for period, cell in cells.items()
-        }
+        method: {period: _cell(cell) for period, cell in cells.items()}
         for method, cells in payload["methods"].items()
     }
+    if not methods or any(set(cells) != set(PERIODS) for cells in methods.values()):
+        raise ValueError("a report needs at least one method, each with train and test cells")
     return BacktestReport(
         sector=payload["sector"],
         methods=methods,

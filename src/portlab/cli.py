@@ -203,12 +203,12 @@ def _run_one_sector(
         )
 
 
-def _report_in_tree(path: Path, current_hash: str) -> bt.BacktestReport | None:
-    """The report an earlier run left at ``path``, if it was computed under ``current_hash``."""
+def _report_in_tree(out_dir: Path, sector: str, current_hash: str) -> bt.BacktestReport | None:
+    """The report an earlier run left for ``sector`` under ``out_dir``, if it was computed under ``current_hash``."""
     try:
-        report = bt.report_from_json(path.read_text(encoding="utf-8"))
-        return report if report.metadata.get("config_hash") == current_hash else None
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):  # missing, or not a report
+        report = bt.report_from_json((out_dir / sector / "report.json").read_text(encoding="utf-8"))
+        return report if report.sector == sector and report.metadata.get("config_hash") == current_hash else None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):  # missing, or not a report
         return None
 
 
@@ -225,7 +225,8 @@ def run_experiment(
     ``weights_dir/<sector>/`` when given. Sectors run one at a time, in
     config order; a failing sector is recorded and the others still run.
     A filtered JSON run summarizes, in config order, the sectors it ran and
-    every other one whose ``report.json`` carries the current config hash.
+    every other one whose ``report.json`` is a report of that sector under the
+    current config hash.
     Returns the exit status and per-sector results, plus one for sector ""
     when the root files cannot be written.
     """
@@ -245,7 +246,7 @@ def run_experiment(
     if sector_filter is not None and fmt == "json":  # CSV reports carry no config_hash to match
         ran, current = {r.sector: r.report for r in results}, config_hash(config)
         reports = [
-            ran[s.name] if s.name in ran else _report_in_tree(out_dir / s.name / "report.json", current)
+            ran[s.name] if s.name in ran else _report_in_tree(out_dir, s.name, current)
             for s in config.sectors
         ]
         reports = [report for report in reports if report is not None]

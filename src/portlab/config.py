@@ -36,14 +36,15 @@ def _number(low: float, high: float) -> Callable[[Any], bool]:
     return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and low <= v <= high
 
 
+_finite = _number(-sys.float_info.max, sys.float_info.max)
+
+
 def _one_of(*choices: str) -> Callable[[Any], bool]:
     return lambda v: v in choices
 
 
 SETTINGS: dict[str, Setting] = {
-    "risk_free_rate": Setting(
-        0.0, _number(-sys.float_info.max, sys.float_info.max), "must be a finite number"
-    ),
+    "risk_free_rate": Setting(0.0, _finite, "must be a finite number"),
     "alignment": Setting(
         "intersection", _one_of("intersection", "forward_fill"),
         "must be 'intersection' or 'forward_fill'",

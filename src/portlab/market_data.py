@@ -166,40 +166,24 @@ class PriceTable(Sequence[PriceSeries]):
 
 
 @dataclass(frozen=True, eq=False)
-class PricePanel:
-    """Date-aligned close prices: T ``datetime64[D]`` dates x N tickers, no missing cells. Equality is identity."""
-
-    tickers: tuple[str, ...]
-    dates: np.ndarray = field(repr=False)
-    closes: np.ndarray = field(repr=False)
+class PricePanel(PriceTable):
+    """A ``PriceTable`` with every cell quoted, for at least 2 distinct tickers on at least 2 days:
+    the date-aligned closes, each column a ticker's full series. Equality is identity."""
 
     def __post_init__(self) -> None:
-        dates = _frozen(self, "dates", "datetime64[D]")
-        closes = _frozen(self, "closes")
-        if len(self.tickers) < 2:
-            raise ValueError("panel needs at least 2 tickers")
+        super().__post_init__()
+        if len(self.tickers) < 2 or len(set(self.tickers)) != len(self.tickers):
+            raise ValueError("panel needs at least 2 tickers, none repeated")
         if len(self.dates) < 2:
             raise InsufficientHistory(f"panel has {len(self.dates)} date(s), need >= 2")
-        if closes.shape != (len(self.dates), len(self.tickers)):
-            raise ValueError(f"close matrix shape {closes.shape} does not match dates x tickers")
-        if len(set(self.tickers)) != len(self.tickers):
-            raise ValueError("duplicate tickers in panel")
-        if not _ascending(dates):
-            raise ValueError("panel dates not strictly increasing")
-        if not np.isfinite(closes).all() or (closes <= 0.0).any():
-            raise NonPositivePrice("panel contains non-finite or non-positive closes")
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.tickers)
-
-    @property
-    def n_dates(self) -> int:
-        return len(self.dates)
+        missing = np.isnan(self.closes)
+        if missing.any():
+            row, col = np.argwhere(missing)[0]
+            raise NonPositivePrice(f"{self.tickers[col]}: no close on {self.dates[row]}")
 
     def series(self, ticker: str) -> PriceSeries:
-        col = self.tickers.index(ticker)
-        return PriceSeries(ticker=ticker, dates=self.dates, closes=self.closes[:, col])
+        """The column of ``ticker``: every date of the panel."""
+        return self[self.tickers.index(ticker)]
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,6 @@ class PortfolioWeights:
         if self.method == "HRP" and ((weights <= 0.0).any() or (weights > 1.0).any()):
             raise ValueError("HRP weights must lie in (0, 1]")
 
-    def as_dict(self) -> dict[str, float]:
-        return {ticker: float(w) for ticker, w in zip(self.tickers, self.weights)}
-
     def to_csv(self) -> str:
         """``ticker,weight`` rows; weights keep full round-trip precision."""
         return _csv_text(("ticker", "weight"), zip(self.tickers, self.weights.tolist()))

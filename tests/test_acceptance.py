@@ -263,5 +263,7 @@ def test_no_look_ahead():
 
     assert np.array_equal(base_hrp.weights, shaken_hrp.weights)
     assert np.array_equal(base_eigen.weights, shaken_eigen.weights)
-    assert base_hrp.as_dict() == shaken_hrp.as_dict()
+    assert dict(zip(base_hrp.tickers, base_hrp.weights.tolist())) == dict(
+        zip(shaken_hrp.tickers, shaken_hrp.weights.tolist())
+    )
     print("\nno look-ahead: perturbing every test-period price left weights bit-identical")

@@ -150,7 +150,7 @@ class TestEvaluate:
             assert isinstance(series, ReturnsMatrix)
             assert series.tickers == ("EIGEN", "HRP")
             assert np.array_equal(series.dates, returns.dates)
-            assert series.values.shape == (panel.n_dates - 1, 2)
+            assert series.values.shape == (len(panel.dates) - 1, 2)
             for j, method in enumerate(series.tickers):
                 column = series.values[:, j]
                 assert column.tobytes() == portfolio_daily_returns(weights[method], returns).tobytes()

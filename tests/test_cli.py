@@ -278,6 +278,31 @@ class TestRunExperiment:
         assert list(json.loads(summary.read_text())["winners"]) == ["sector2"]
         assert (tmp_path / "out" / "sector1" / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda report: report["methods"]["HRP"]["test"].update(sharpe_ratio="x"), id="text-cell"),
+            pytest.param(lambda report: report["methods"]["HRP"]["test"].update(sharpe_ratio=None), id="null-cell"),
+            pytest.param(lambda report: report["methods"]["HRP"].pop("test"), id="no-test-period"),
+            pytest.param(lambda report: report.update(methods={}), id="no-method"),
+            pytest.param(lambda report: "[" * 100_000, id="nested-100000-deep"),
+            pytest.param(lambda report: report.update(sector="sector1"), id="another-sectors-name"),
+        ],
+    )
+    def test_filtered_run_leaves_out_a_report_of_no_use(self, tmp_path, damage):
+        # sector2's report.json keeps the current config_hash but is no report of sector2: the run
+        # summarizes sector1 alone, as when the file is missing
+        config = str(write_fixture(tmp_path, n_sectors=2, tickers_per_sector=4, seed=5))
+        assert main(["run", "--config", config]) == EXIT_OK
+        path = tmp_path / "out" / "sector2" / "report.json"
+        report = json.loads(path.read_text())
+        text = damage(report)
+        path.write_text(text if isinstance(text, str) else json.dumps(report))
+        assert main(["run", "--config", config, "--sector", "sector1"]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert list(summary["winners"]) == ["sector1"]
+        assert [sum(counts.values()) for counts in summary["counts"].values()] == [1, 1]
+
     def test_unknown_sector_filter(self, fixture_config):
         config = load_config(fixture_config)
         with pytest.raises(ConfigError):

@@ -540,8 +540,9 @@ class TestBuildHrpPortfolio:
         base = np.array([0.01, -0.02, 0.015, -0.005, 0.02, -0.01])
         returns = returns_matrix(np.column_stack([base, 2.0 * base]))
         result = hrp_of(returns)
-        assert result.weights.as_dict()["T00"] == pytest.approx(0.8, abs=1e-12)
-        assert result.weights.as_dict()["T01"] == pytest.approx(0.2, abs=1e-12)
+        tickers, weights = result.weights.tickers, result.weights.weights
+        assert weights[tickers.index("T00")] == pytest.approx(0.8, abs=1e-12)
+        assert weights[tickers.index("T01")] == pytest.approx(0.2, abs=1e-12)
 
     def test_ten_asset_structural_contract(self, rng):
         returns = returns_matrix(rng.normal(0, 0.01, size=(120, 10)))
@@ -611,7 +612,7 @@ class TestPermutationBehavior:
         returns = correlated_returns(rng)
         base = hrp_of(returns)
         leaf_pairs = base.tree.rows[base.tree.rows[:, 1] < len(returns.tickers), :2].astype(int)
-        base_map = base.weights.as_dict()
+        base_map = dict(zip(base.weights.tickers, base.weights.weights.tolist()))
         checked = 0
         for _ in range(40):
             positions = rng.permutation(len(returns.tickers))
@@ -620,7 +621,7 @@ class TestPermutationBehavior:
                 continue
             checked += 1
             other = hrp_of(self.permuted(returns, positions))
-            other_map = other.weights.as_dict()
+            other_map = dict(zip(other.weights.tickers, other.weights.weights.tolist()))
             for ticker, weight in base_map.items():
                 assert other_map[ticker] == pytest.approx(weight, abs=1e-12)
         assert checked >= 3

@@ -22,6 +22,7 @@ from portlab.market_data import (
     PeriodSpec,
     PricePanel,
     PriceSeries,
+    PriceTable,
     _csv_text,
     _dated_csv_text,
     align_panel,
@@ -649,6 +650,10 @@ class TestTableAlignment:
         expected = reference_outcome(list(table), policy)
         assert aligned(table, policy) == expected
         assert aligned(list(table), policy) == expected
+        if isinstance(expected[0], bytes):  # a panel is a table with every cell quoted: aligning it keeps it
+            panel = align_panel(table, policy)
+            assert isinstance(panel, PriceTable)
+            assert aligned(panel, "intersection") == aligned(panel, "forward_fill") == expected
 
     def test_table_is_a_sequence_of_its_series(self):
         table = parse_wide_csv("Date,A,B\n2021-01-04,1,\n2021-01-01,,2\n2021-01-05,3,4\n")

@@ -141,7 +141,7 @@ class TestMetamorphic:
     def test_permuting_tickers_keeps_the_tree_and_permutes_the_eigen_weights(self, panel, data):
         # HRP weights are not compared: each merge puts the lower cluster id on the
         # left, so the seriation, and the bisection over it, follow the input order
-        perm = data.draw(st.permutations(range(panel.n_assets)))
+        perm = data.draw(st.permutations(range(len(panel.tickers))))
         shuffled = PricePanel(tuple(panel.tickers[i] for i in perm), panel.dates, panel.closes[:, perm])
         (hrp, eigen), (hrp_shuffled, eigen_shuffled) = hrp_and_eigen(panel), hrp_and_eigen(shuffled)
         assert np.abs(hrp_shuffled.tree.rows[:, 2] - hrp.tree.rows[:, 2]).max() <= 1e-12
@@ -152,7 +152,7 @@ class TestMetamorphic:
     @settings(deadline=None, max_examples=40)
     @given(panel=seeded_panels(), data=st.data())
     def test_scaling_one_tickers_closes_keeps_seriation_and_hrp_weights(self, panel, data):
-        column = data.draw(st.integers(0, panel.n_assets - 1))
+        column = data.draw(st.integers(0, len(panel.tickers) - 1))
         closes = panel.closes.copy()
         closes[:, column] *= data.draw(st.floats(1e-3, 1e3))
         hrp = hrp_and_eigen(panel)[0]

@@ -23,10 +23,11 @@ DAYS = (date(2021, 1, 4), date(2021, 1, 5), date(2021, 1, 6))
 NAN = float("nan")
 EYE = np.eye(3)
 THIRDS = np.full(3, 1.0 / 3.0)
+GAPPED = [[1.0, NAN, 2.0]] * 3  # B has no quote on any day
 
 VALUE_TYPES = [
     pytest.param(lambda: PriceSeries("A", dates=list(DAYS), closes=[1.0, 2.0, 3.0]), id="PriceSeries"),
-    pytest.param(lambda: PriceTable(TICKERS, DAYS, [[1.0, NAN, 2.0]] * 3), id="PriceTable"),
+    pytest.param(lambda: PriceTable(TICKERS, DAYS, GAPPED), id="PriceTable"),
     pytest.param(lambda: PricePanel(TICKERS, DAYS, np.ones((3, 3))), id="PricePanel"),
     pytest.param(lambda: ReturnsMatrix(TICKERS, DAYS, np.zeros((3, 3))), id="ReturnsMatrix"),
     pytest.param(lambda: CovarianceMatrix(TICKERS, EYE), id="CovarianceMatrix"),
@@ -122,7 +123,7 @@ def test_nan_rejected(build, error):
     [
         pytest.param(
             lambda days: PricePanel(TICKERS, days, np.ones((3, 3))),
-            "panel dates not strictly increasing",
+            "(3, 3) closes for (3,) ascending days x 3 tickers",
             id="PricePanel",
         ),
         pytest.param(
@@ -143,20 +144,33 @@ def test_unordered_dates_rejected(build, message, days):
     assert str(caught.value) == message
 
 
+SIGNS = "table contains infinite or non-positive closes"
+HOLED = with_nan(np.ones((3, 3)), (1, 2))
+
+
 @pytest.mark.parametrize(
-    "closes, error",
+    "grid, closes, error, message",
     [
-        pytest.param(np.ones((3, 2)), ValueError, id="shape"),
-        pytest.param(np.ones((2, 3)), ValueError, id="rows"),
-        pytest.param(with_nan(np.ones((3, 3)), (1, 2)) * [1.0, 1.0, np.inf], NonPositivePrice, id="inf"),
-        pytest.param(with_nan(np.ones((3, 3)), (1, 2)) - [0.0, 1.0, 0.0], NonPositivePrice, id="zero"),
-        pytest.param(with_nan(np.ones((3, 3)), (1, 2)) - [2.0, 0.0, 0.0], NonPositivePrice, id="negative"),
+        pytest.param(
+            PriceTable, np.ones((3, 2)), ValueError, "(3, 2) closes for (3,) ascending days x 3 tickers", id="shape"
+        ),
+        pytest.param(
+            PriceTable, np.ones((2, 3)), ValueError, "(2, 3) closes for (3,) ascending days x 3 tickers", id="rows"
+        ),
+        pytest.param(PriceTable, HOLED * [1.0, 1.0, np.inf], NonPositivePrice, SIGNS, id="inf"),
+        pytest.param(PriceTable, HOLED - [0.0, 1.0, 0.0], NonPositivePrice, SIGNS, id="zero"),
+        pytest.param(PriceTable, HOLED - [2.0, 0.0, 0.0], NonPositivePrice, SIGNS, id="negative"),
+        pytest.param(PricePanel, np.ones((3, 3)) - [2.0, 0.0, 0.0], NonPositivePrice, SIGNS, id="PricePanel-negative"),
+        pytest.param(PricePanel, GAPPED, NonPositivePrice, "B: no close on 2021-01-04", id="PricePanel-nan"),
     ],
 )
-def test_table_rejects_bad_closes(closes, error):
-    # a NaN cell is a missing quote; every quoted cell is finite and positive
-    with pytest.raises(error):
-        PriceTable(TICKERS, DAYS, closes)
+def test_table_rejects_bad_closes(grid, closes, error, message):
+    # a NaN cell is a missing quote, which a table takes (GAPPED builds VALUE_TYPES' PriceTable); every
+    # quoted cell is finite and positive. A panel is a table with every cell quoted: it breaks the
+    # table's rules with the table's errors, and has no NaN
+    with pytest.raises(error) as caught:
+        grid(TICKERS, DAYS, closes)
+    assert str(caught.value) == message
 
 
 def test_missing_day_rejected_in_one_row_returns():

@@ -24,11 +24,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import backtest as bt
-from .config import SETTINGS, ExperimentConfig, SectorConfig, load_config
+from .config import ExperimentConfig, SectorConfig, load_config
 from .eigen import EigenCandidate, fit_pca, min_components_for_variance, select_best_eigen
 from .errors import ConfigError, PortlabError
 from .hrp import build_hrp_portfolio, dendrogram_json
@@ -39,9 +39,6 @@ from .portfolio import PortfolioWeights, weights_from_csv
 from .returns_stats import correlation, daily_returns, sample_covariance
 
 logger = logging.getLogger(__name__)
-
-ENV_RISK_FREE = "PORTLAB_RISK_FREE"
-ENV_OUTPUT_DIR = "PORTLAB_OUT"
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -54,9 +51,6 @@ class SectorFailure:
     stage: str
     file: str
     cause: str
-
-    def as_dict(self) -> dict[str, str]:
-        return {"sector": self.sector, "stage": self.stage, "file": self.file, "cause": self.cause}
 
 
 @dataclass
@@ -253,7 +247,7 @@ def run_experiment(
     if reports:
         summary = bt.summarize(reports)
         files[f"summary.{fmt}"] = bt.summary_to_csv(summary) if fmt == "csv" else bt.summary_to_json(summary)
-    failures = [r.failure.as_dict() for r in results if r.failure is not None]
+    failures = [asdict(r.failure) for r in results if r.failure is not None]
     if failures:
         files["errors.json"] = json.dumps(failures, indent=2, sort_keys=True) + "\n"
     try:
@@ -265,32 +259,18 @@ def run_experiment(
 
 def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config)
-    text = os.environ.get(ENV_RISK_FREE)
-    risk_free: object = text
-    if text is not None:
-        try:
-            risk_free = float(text)
-        except ValueError:
-            pass  # the text itself fails the rule below
-        setting = SETTINGS["risk_free_rate"]
-        if not setting.accepts(risk_free):
-            raise ConfigError([f"{ENV_RISK_FREE}: {setting.text}, got {text!r}"])
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    output_dir = getattr(args, "out", None) or os.environ.get(ENV_OUTPUT_DIR)
-    overrides = {"risk_free_rate": risk_free, "output_dir": output_dir}
-    return replace(config, **{name: value for name, value in overrides.items() if value is not None})
+    return replace(config, output_dir=args.out) if args.out else config
 
 
 def _emit_failures(results: list[SectorResult]) -> None:
-    failures = [r.failure.as_dict() for r in results if r.failure is not None]
+    failures = [asdict(r.failure) for r in results if r.failure is not None]
     if failures:
         print(json.dumps(failures, indent=2, sort_keys=True), file=sys.stderr)
 
 
-def _cmd_run(
-    args: argparse.Namespace, evaluate: bool = True, weights_dir: Path | None = None
-) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     config = _resolved_config(args)
     if args.jobs != 1:
         print("warning: --jobs is deprecated and ignored; sectors run one at a time", file=sys.stderr)
@@ -298,8 +278,8 @@ def _cmd_run(
         config,
         sector_filter=args.sector,
         fmt=args.format,
-        evaluate=evaluate,
-        weights_dir=weights_dir,
+        evaluate=args.evaluate,
+        weights_dir=None if args.weights is None else Path(args.weights),
     )
     for result in results:
         if result.report is not None:
@@ -308,14 +288,6 @@ def _cmd_run(
             print(f"{result.sector}: weights written")
     _emit_failures(results)
     return status
-
-
-def _cmd_build(args: argparse.Namespace) -> int:
-    return _cmd_run(args, evaluate=False)
-
-
-def _cmd_backtest(args: argparse.Namespace) -> int:
-    return _cmd_run(args, weights_dir=Path(args.weights))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -342,16 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="full pipeline: build, backtest, report")
     add_common(run)
-    run.set_defaults(handler=_cmd_run)
+    run.set_defaults(handler=_cmd_run, evaluate=True, weights=None)
 
     build = commands.add_parser("build", help="construct and export weights only")
     add_common(build)
-    build.set_defaults(handler=_cmd_build)
+    build.set_defaults(handler=_cmd_run, evaluate=False, weights=None)
 
     backtest = commands.add_parser("backtest", help="evaluate previously exported weights")
     add_common(backtest)
     backtest.add_argument("--weights", required=True, help="directory holding per-sector weights")
-    backtest.set_defaults(handler=_cmd_backtest)
+    backtest.set_defaults(handler=_cmd_run, evaluate=True)
 
     validate = commands.add_parser("validate", help="check a config file")
     validate.add_argument("--config", required=True)

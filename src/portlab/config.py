@@ -60,7 +60,8 @@ SETTINGS: dict[str, Setting] = {
         0.8, _number(math.ulp(0.0), 1.0), "must be a number in (0, 1]"
     ),
     "output_dir": Setting(
-        "out", lambda v: isinstance(v, str) and v != "", "must be a non-empty string"
+        "out", lambda v: isinstance(v, str) and v != "" and "\0" not in v,
+        "must be a non-empty string without NUL",
     ),
 }
 _TOP_LEVEL = ("sectors", "train", "test", *(key.partition(".")[0] for key in SETTINGS))
@@ -139,8 +140,8 @@ def _parse_sector(raw: Any, position: int, problems: list[str], warnings: list[s
     if tickers is None and input_format == "wide":
         tickers = []
     # the name is the sector's directory under output_dir
-    if name in (".", "..") or "/" in name or "\\" in name:
-        problem = "name: must be one path component: not '.' or '..', no '/' or '\\'"
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        problem = "name: must be one path component: not '.' or '..', no '/', '\\' or NUL"
     elif not data or not isinstance(data, str):
         problem = "data: required string path"
     elif input_format not in ("per_ticker", "wide"):

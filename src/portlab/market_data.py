@@ -13,6 +13,7 @@ import csv
 import io
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -161,6 +162,7 @@ class PriceTable(Sequence[PriceSeries]):
         return len(self.tickers)
 
     def __getitem__(self, col: int) -> PriceSeries:
+        col = operator.index(col)  # an int, not a slice or a float
         quoted = ~np.isnan(self.closes[:, col])
         return PriceSeries(ticker=self.tickers[col], dates=self.dates[quoted], closes=self.closes[quoted, col])
 

@@ -121,8 +121,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tickers", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    if args.sectors < 1 or args.tickers < 2:  # a panel needs 2 tickers, a config 1 sector
-        parser.error("--sectors must be at least 1 and --tickers at least 2")
+    if args.sectors < 1 or args.tickers < 2 or args.seed < 0:  # a panel needs 2 tickers, a config 1 sector
+        parser.error("--sectors must be at least 1, --tickers at least 2 and --seed at least 0")
     config_path = write_fixture(
         args.out, n_sectors=args.sectors, tickers_per_sector=args.tickers, seed=args.seed
     )

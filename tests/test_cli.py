@@ -95,7 +95,7 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(raw)
 
-    @pytest.mark.parametrize("name", [".", "..", "../escape", "/tmp/x", "a/b", "a\\b"])
+    @pytest.mark.parametrize("name", [".", "..", "../escape", "/tmp/x", "a/b", "a\\b", "a\0b"])
     def test_sector_name_is_one_path_component(self, name):
         raw = dict(MINIMAL, sectors=[{"name": name, "data": "d", "tickers": ["A", "B"]}])
         with pytest.raises(ConfigError) as caught:
@@ -181,6 +181,10 @@ def fixture_config(tmp_path):
 
 def artifact_names(sector_dir):
     return sorted(p.name for p in sector_dir.iterdir())
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def assert_csv_rows_fit_header(root):
@@ -572,8 +576,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "counts",
-        [["--tickers", "1"], ["--tickers", "-2"], ["--sectors", "0"], ["--sectors", "-1"]],
-        ids=["one-ticker", "negative-tickers", "no-sector", "negative-sectors"],
+        [["--tickers", "1"], ["--tickers", "-2"], ["--sectors", "0"], ["--sectors", "-1"], ["--seed", "-1"]],
+        ids=["one-ticker", "negative-tickers", "no-sector", "negative-sectors", "negative-seed"],
     )
     def test_synthetic_rejects_counts_that_make_no_fixture(self, tmp_path, capsys, counts):
         with pytest.raises(SystemExit) as exit_info:
@@ -581,23 +585,24 @@ class TestMainEntry:
         assert exit_info.value.code == 2 and "usage:" in capsys.readouterr().err
         assert not (tmp_path / "syn").exists()
 
-    def test_env_overrides(self, fixture_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("PORTLAB_RISK_FREE", "0.05")
-        elsewhere = tmp_path / "env_out"
-        monkeypatch.setenv("PORTLAB_OUT", str(elsewhere))
-        assert main(["run", "--config", str(fixture_config)]) == EXIT_OK
+    def test_env_overrides(self, fixture_config, tmp_path):
+        # the rate comes from the config file, the output directory from --out
+        raw = json.loads(fixture_config.read_text())
+        raw["risk_free_rate"] = 0.05
+        fixture_config.write_text(json.dumps(raw))
+        elsewhere = tmp_path / "elsewhere"
+        assert main(["run", "--config", str(fixture_config), "--out", str(elsewhere)]) == EXIT_OK
         report = json.loads((elsewhere / "sector1" / "report.json").read_text())
         assert report["metadata"]["risk_free_rate"] == 0.05
 
-    def test_bad_env_risk_free_exit_two(self, fixture_config, monkeypatch):
-        monkeypatch.setenv("PORTLAB_RISK_FREE", "not-a-number")
-        assert main(["run", "--config", str(fixture_config)]) == EXIT_CONFIG
-
-    def test_non_finite_env_risk_free_exit_two(self, fixture_config, tmp_path, monkeypatch, capsys):
+    def test_environment_sets_nothing(self, fixture_config, tmp_path, monkeypatch):
+        plain = tmp_path / "plain"
+        assert main(["run", "--config", str(fixture_config), "--out", str(plain)]) == EXIT_OK
         monkeypatch.setenv("PORTLAB_RISK_FREE", "nan")
-        assert main(["run", "--config", str(fixture_config)]) == EXIT_CONFIG
-        assert "PORTLAB_RISK_FREE" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        monkeypatch.setenv("PORTLAB_OUT", str(tmp_path / "env_out"))
+        assert main(["run", "--config", str(fixture_config)]) == EXIT_OK
+        assert tree_bytes(tmp_path / "out") == tree_bytes(plain)
+        assert not (tmp_path / "env_out").exists()
 
     # json accepts the non-standard NaN and Infinity tokens, and integers beyond float range
     @pytest.mark.parametrize("token", ["Infinity", "NaN", pytest.param("1" + "0" * 400, id="1e400")])
@@ -619,13 +624,24 @@ class TestMainEntry:
         assert "eigen.variance_threshold: must be a number in (0, 1]" in captured.err
         assert captured.out == ""
 
-    def test_sector_name_escaping_output_dir_exit_two(self, fixture_config, tmp_path, capsys):
+    # a NUL reaches mkdir as an embedded null byte; the config rules must stop it first
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("name", "../escape", "sectors[0] (../escape).name: "),
+            ("name", "a\0b", "sectors[0] (a\0b).name: "),
+            ("output_dir", "o\0ut", "output_dir: must be a non-empty string without NUL"),
+        ],
+        ids=["parent", "nul-name", "nul-output-dir"],
+    )
+    def test_sector_name_escaping_output_dir_exit_two(self, fixture_config, tmp_path, capsys, key, value, problem):
         raw = json.loads(fixture_config.read_text())
-        raw["sectors"][0]["name"] = "../escape"
+        (raw["sectors"][0] if key == "name" else raw)[key] = value
         fixture_config.write_text(json.dumps(raw))
         out = tmp_path / "nested" / "out"
         assert main(["build", "--config", str(fixture_config), "--out", str(out)]) == EXIT_CONFIG
-        assert "sectors[0] (../escape).name" in capsys.readouterr().err
+        problems = json.loads(capsys.readouterr().err)["config_errors"]
+        assert len(problems) == 1 and problems[0].startswith(problem)
         assert not (tmp_path / "nested").exists()
 
     # reading or decoding these raises an error that is not a JSONDecodeError

@@ -664,6 +664,10 @@ class TestTableAlignment:
         assert np.isnan(table.closes).tolist() == [[True, False], [False, True], [False, False]]
         with pytest.raises(IndexError):
             table[2]
+        assert table[np.int64(0)].ticker == "A"
+        for key in (slice(0, 1), 0.0):
+            with pytest.raises(TypeError):
+                table[key]
 
 
 DAY_ST = st.integers(0, 40).map(lambda d: date.fromordinal(BASE_DAY + d).isoformat())

@@ -8,7 +8,7 @@ table: per method, annualized volatility and Sharpe ratio for both periods.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
@@ -149,47 +149,37 @@ def report_to_json(report: BacktestReport) -> str:
     The JSON round-trips every double bit-exactly (shortest-repr encoding);
     the daily series are exported separately as CSV and are not embedded.
     """
-    payload = {
-        "sector": report.sector,
-        "methods": {
-            method: {
-                period: {
-                    "annual_volatility": cells[period].annual_volatility,
-                    "sharpe_ratio": cells[period].sharpe_ratio,
-                }
-                for period in sorted(cells)
-            }
-            for method, cells in sorted(report.methods.items())
-        },
-        "metadata": report.metadata,
-    }
+    methods = {m: {period: asdict(cell) for period, cell in cells.items()} for m, cells in report.methods.items()}
+    payload = {"sector": report.sector, "methods": methods, "metadata": report.metadata}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _cell(cell: Mapping[str, Any]) -> PeriodPerformance:
+def _cell(cell: Any) -> PeriodPerformance:
     """One period's cells read back; each must be a finite JSON number (an int or a float, not a bool)."""
-    values = cell["annual_volatility"], cell["sharpe_ratio"]
+    if not isinstance(cell, dict):
+        raise ValueError(f"report period {cell!r} is not an object")
+    values = cell.get("annual_volatility"), cell.get("sharpe_ratio")
     if not all(map(_finite, values)):
         raise ValueError(f"report cells {values!r} are not all finite numbers")
     return PeriodPerformance(*values)
 
 
 def report_from_json(text: str) -> BacktestReport:
-    """The report ``report_to_json`` wrote. Raises ValueError unless it has at least one method,
-    each with the cells of both periods, every cell a finite number."""
-    payload = json.loads(text)
-    methods = {
-        method: {period: _cell(cell) for period, cell in cells.items()}
-        for method, cells in payload["methods"].items()
-    }
-    if not methods or any(set(cells) != set(PERIODS) for cells in methods.values()):
+    """The report ``report_to_json`` wrote. Raises ValueError for any text that is not one: an object
+    with a string sector, an object metadata if any, and at least one method, each with the cells of
+    both periods, every cell a finite number."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:  # nested deeper than the parser's stack
+        raise ValueError("report JSON is nested too deep") from None
+    shape = {"sector": str, "methods": dict, "metadata": dict}  # a missing sector reads as {}, not a str
+    if not isinstance(payload, dict) or not all(isinstance(payload.get(k, {}), t) for k, t in shape.items()):
+        raise ValueError("a report is an object with a string sector, a methods object and a metadata object")
+    raw = payload.get("methods", {})
+    if not raw or any(not isinstance(cells, dict) or set(cells) != set(PERIODS) for cells in raw.values()):
         raise ValueError("a report needs at least one method, each with train and test cells")
-    return BacktestReport(
-        sector=payload["sector"],
-        methods=methods,
-        metadata=payload.get("metadata", {}),
-        series=None,
-    )
+    methods = {method: {period: _cell(cell) for period, cell in cells.items()} for method, cells in raw.items()}
+    return BacktestReport(sector=payload["sector"], methods=methods, metadata=payload.get("metadata", {}))
 
 
 def report_to_csv(report: BacktestReport) -> str:
@@ -203,8 +193,7 @@ def report_to_csv(report: BacktestReport) -> str:
 
 
 def summary_to_json(summary: ComparisonSummary) -> str:
-    payload = {"winners": summary.winners, "counts": summary.counts}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n"
 
 
 def summary_to_csv(summary: ComparisonSummary) -> str:

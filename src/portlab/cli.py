@@ -26,16 +26,17 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import get_args
 
 from . import backtest as bt
-from .config import ExperimentConfig, SectorConfig, load_config
+from .config import ROOT_ARTIFACTS, ExperimentConfig, SectorConfig, load_config
 from .eigen import EigenCandidate, fit_pca, min_components_for_variance, select_best_eigen
 from .errors import ConfigError, PortlabError
 from .hrp import build_hrp_portfolio, dendrogram_json
 from .market_data import (
     PricePanel, _csv_text, _dated_csv_text, align_panel, load_price_csv, parse_wide_csv, slice_period
 )
-from .portfolio import PortfolioWeights, weights_from_csv
+from .portfolio import Method, PortfolioWeights, weights_from_csv
 from .returns_stats import correlation, daily_returns, sample_covariance
 
 logger = logging.getLogger(__name__)
@@ -43,6 +44,8 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
+
+METHODS: tuple[Method, ...] = get_args(Method)  # HRP first: the order weights are loaded in
 
 
 @dataclass
@@ -65,9 +68,11 @@ class SectorResult:
 # the tree never mixes two runs. `run` and `build` own every name; `backtest`
 # all but the build files, which it may be reading from its own --out.
 ARTIFACTS = {
-    "build": {"weights_hrp.csv", "weights_eigen.csv", "dendrogram.json", "seriation.csv", "eigen_candidates.csv"},
-    "report": {"report.json", "report.csv", *(f"returns_{m}_{p}.csv" for m in ("eigen", "hrp") for p in bt.PERIODS)},
-    "root": {"summary.json", "summary.csv", "errors.json"},
+    "build": {
+        *(f"weights_{m.lower()}.csv" for m in METHODS), "dendrogram.json", "seriation.csv", "eigen_candidates.csv"
+    },
+    "report": {"report.json", "report.csv", *(f"returns_{m.lower()}_{p}.csv" for m in METHODS for p in bt.PERIODS)},
+    "root": set(ROOT_ARTIFACTS),
 }
 
 
@@ -126,21 +131,21 @@ def _build_sector(
         train_returns, model, k_max, config.risk_free_rate
     )
     tickers = hrp.weights.tickers
+    weights = {"HRP": hrp.weights, "EIGEN": eigen_weights}
     files = {
-        "weights_hrp.csv": hrp.weights.to_csv(),
-        "weights_eigen.csv": eigen_weights.to_csv(),
+        **{f"weights_{method.lower()}.csv": w.to_csv() for method, w in weights.items()},
         "dendrogram.json": dendrogram_json(hrp.tree, tickers),
         "seriation.csv": _csv_text(("position", "ticker"), enumerate(hrp.order.tickers(tickers))),
         "eigen_candidates.csv": _csv_text(EigenCandidate._fields, candidates),
     }
-    return {"HRP": hrp.weights, "EIGEN": eigen_weights}, files
+    return weights, files
 
 
 def _load_weights(sector_dir: Path) -> dict[str, PortfolioWeights]:
     weights = {}
-    for method, name in (("HRP", "weights_hrp.csv"), ("EIGEN", "weights_eigen.csv")):
+    for method in METHODS:
         # newline="": a carriage return inside a quoted ticker stays one
-        with (sector_dir / name).open(encoding="utf-8", newline="") as handle:
+        with (sector_dir / f"weights_{method.lower()}.csv").open(encoding="utf-8", newline="") as handle:
             weights[method] = weights_from_csv(handle.read(), method)
     return weights
 
@@ -202,8 +207,14 @@ def _report_in_tree(out_dir: Path, sector: str, current_hash: str) -> bt.Backtes
     try:
         report = bt.report_from_json((out_dir / sector / "report.json").read_text(encoding="utf-8"))
         return report if report.sector == sector and report.metadata.get("config_hash") == current_hash else None
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):  # missing, or not a report
+    except (OSError, ValueError):  # missing, or not a report
         return None
+
+
+def _failures_json(results: list[SectorResult]) -> str:
+    """The failed sectors as the JSON list ``errors.json`` and stderr show, or "" when none failed."""
+    failures = [asdict(r.failure) for r in results if r.failure is not None]
+    return json.dumps(failures, indent=2, sort_keys=True) + "\n" if failures else ""
 
 
 def run_experiment(
@@ -218,9 +229,9 @@ def run_experiment(
     Each sector builds its weights, or reads the ones exported under
     ``weights_dir/<sector>/`` when given. Sectors run one at a time, in
     config order; a failing sector is recorded and the others still run.
-    A filtered JSON run summarizes, in config order, the sectors it ran and
-    every other one whose ``report.json`` is a report of that sector under the
-    current config hash.
+    The summary covers, in config order, the sectors this run evaluated and,
+    for JSON, every sector it did not run whose ``report.json`` is a report
+    of that sector under the current config hash.
     Returns the exit status and per-sector results, plus one for sector ""
     when the root files cannot be written.
     """
@@ -236,20 +247,17 @@ def run_experiment(
     ]
 
     files = {}
-    reports = [r.report for r in results if r.report is not None]
-    if sector_filter is not None and fmt == "json":  # CSV reports carry no config_hash to match
-        ran, current = {r.sector: r.report for r in results}, config_hash(config)
-        reports = [
-            ran[s.name] if s.name in ran else _report_in_tree(out_dir, s.name, current)
-            for s in config.sectors
-        ]
-        reports = [report for report in reports if report is not None]
+    ran, current = {r.sector: r.report for r in results}, config_hash(config)
+    reports = [  # CSV reports carry no config_hash to match
+        ran[s.name] if s.name in ran else _report_in_tree(out_dir, s.name, current) if fmt == "json" else None
+        for s in config.sectors
+    ]
+    reports = [report for report in reports if report is not None]
     if reports:
         summary = bt.summarize(reports)
         files[f"summary.{fmt}"] = bt.summary_to_csv(summary) if fmt == "csv" else bt.summary_to_json(summary)
-    failures = [asdict(r.failure) for r in results if r.failure is not None]
-    if failures:
-        files["errors.json"] = json.dumps(failures, indent=2, sort_keys=True) + "\n"
+    if failures := _failures_json(results):
+        files["errors.json"] = failures
     try:
         _write_files(out_dir, ARTIFACTS["root"], files)
     except OSError as cause:  # e.g. the output directory is a regular file
@@ -262,12 +270,6 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return replace(config, output_dir=args.out) if args.out else config
-
-
-def _emit_failures(results: list[SectorResult]) -> None:
-    failures = [asdict(r.failure) for r in results if r.failure is not None]
-    if failures:
-        print(json.dumps(failures, indent=2, sort_keys=True), file=sys.stderr)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -286,7 +288,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(bt.format_report_table(result.report))
         elif result.failure is None:
             print(f"{result.sector}: weights written")
-    _emit_failures(results)
+    sys.stderr.write(_failures_json(results))
     return status
 
 

@@ -65,6 +65,7 @@ SETTINGS: dict[str, Setting] = {
     ),
 }
 _TOP_LEVEL = ("sectors", "train", "test", *(key.partition(".")[0] for key in SETTINGS))
+ROOT_ARTIFACTS = ("summary.json", "summary.csv", "errors.json")  # the files beside the sector directories
 
 
 def _warn_unknown(obj: dict[str, Any], known: Iterable[str], where: str, warnings: list[str]) -> None:
@@ -139,17 +140,17 @@ def _parse_sector(raw: Any, position: int, problems: list[str], warnings: list[s
         return None
     if tickers is None and input_format == "wide":
         tickers = []
-    # the name is the sector's directory under output_dir
-    if name in (".", "..") or any(c in name for c in "/\\\0"):
-        problem = "name: must be one path component: not '.' or '..', no '/', '\\' or NUL"
+    # the name is the sector's directory beside the root files; no leading '.' keeps it off the temp files too
+    if name.startswith(".") or name in ROOT_ARTIFACTS or any(c in name for c in "/\\\0"):
+        problem = f"name: one path component, no leading '.', no '/', '\\' or NUL, not {', '.join(ROOT_ARTIFACTS)}"
     elif not data or not isinstance(data, str):
         problem = "data: required string path"
     elif input_format not in ("per_ticker", "wide"):
         problem = "format: must be 'per_ticker' or 'wide'"
     elif tickers is None:
         problem = "tickers: required for per_ticker format"
-    elif not isinstance(tickers, list) or not all(isinstance(t, str) and t for t in tickers):
-        problem = "tickers: must be a list of ticker strings"
+    elif not isinstance(tickers, list) or not all(isinstance(t, str) and t and t == t.strip() for t in tickers):
+        problem = "tickers: must be a list of ticker strings, none empty or with spaces around it"
     elif len(tickers) == 1 or (not tickers and input_format == "per_ticker"):
         problem = "tickers: a sector needs at least 2 tickers"
     elif len(set(tickers)) != len(tickers):

@@ -123,9 +123,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.sectors < 1 or args.tickers < 2 or args.seed < 0:  # a panel needs 2 tickers, a config 1 sector
         parser.error("--sectors must be at least 1, --tickers at least 2 and --seed at least 0")
-    config_path = write_fixture(
-        args.out, n_sectors=args.sectors, tickers_per_sector=args.tickers, seed=args.seed
-    )
+    try:
+        config_path = write_fixture(
+            args.out, n_sectors=args.sectors, tickers_per_sector=args.tickers, seed=args.seed
+        )
+    except OSError as bad:  # e.g. --out, or a directory it needs, is a regular file
+        parser.error(f"cannot write the fixture under --out: {bad}")
     print(config_path)
     return 0
 

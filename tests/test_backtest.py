@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from datetime import date
 
 import numpy as np
@@ -221,6 +223,13 @@ class TestSummarize:
             summarize([])
 
 
+def published_json(**changes):
+    """The published "auto" report as JSON text, each key given None removed and every other one set."""
+    payload = json.loads(report_to_json(published_report("auto")))
+    payload.update(changes)
+    return json.dumps({key: value for key, value in payload.items() if value is not None})
+
+
 class TestSerialization:
     def test_published_report_round_trips_bit_exact(self):
         report = published_report("auto")
@@ -237,6 +246,29 @@ class TestSerialization:
         rebuilt = report_from_json(report_to_json(report))
         assert rebuilt.cell("HRP", "train") == report.cell("HRP", "train")
         assert rebuilt.cell("HRP", "test") == report.cell("HRP", "test")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[]", "a report is an object", id="list"),
+            pytest.param("{}", "a report is an object with a string sector", id="empty-object"),
+            pytest.param('{"methods": []}', "a report is an object", id="methods-list"),
+            pytest.param(published_json(sector=7), "a report is an object with a string sector", id="sector-number"),
+            pytest.param(published_json(sector=None), "a report is an object with a string sector", id="no-sector"),
+            pytest.param('{"sector": "x", "metadata": []}', "and a metadata object", id="metadata-list"),
+            pytest.param('{"sector": "x", "methods": {"HRP": 5}}', "at least one method", id="method-number"),
+            pytest.param(
+                '{"sector": "x", "methods": {"HRP": {"train": 5, "test": []}}}', "is not an object", id="period-number"
+            ),
+            pytest.param(
+                '{"sector": "x", "methods": {"HRP": {"train": {}, "test": {}}}}', "not all finite", id="no-cells"
+            ),
+            pytest.param("[" * 100_000, "nested too deep", id="nested-100000-deep"),
+        ],
+    )
+    def test_text_that_is_no_report_raises_value_error(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            report_from_json(text)
 
     def test_report_csv_schema(self):
         text = report_to_csv(published_report("auto"))

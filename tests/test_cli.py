@@ -27,6 +27,12 @@ MINIMAL = {
     "test": {"start": "2021-01-01", "end": "2021-11-01"},
 }
 
+PADDED = "sectors[0] (alpha).tickers: must be a list of ticker strings, none empty or with spaces around it"
+
+
+def with_sector(**sector):
+    return lambda raw: dict(raw, sectors=[{"name": "alpha", **sector}])
+
 
 class TestValidateConfig:
     def test_minimal_config_defaults_applied(self):
@@ -95,13 +101,46 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(raw)
 
-    @pytest.mark.parametrize("name", [".", "..", "../escape", "/tmp/x", "a/b", "a\\b", "a\0b"])
+    # the name is a directory beside the root files, and the writer's temp files begin with '.'
+    @pytest.mark.parametrize(
+        "name", [".", "..", "../escape", "/tmp/x", "a/b", "a\\b", "a\0b", "summary.json", "errors.json", ".hidden"]
+    )
     def test_sector_name_is_one_path_component(self, name):
         raw = dict(MINIMAL, sectors=[{"name": name, "data": "d", "tickers": ["A", "B"]}])
         with pytest.raises(ConfigError) as caught:
             validate_config(raw)
         assert len(caught.value.problems) == 1
         assert caught.value.problems[0].startswith(f"sectors[0] ({name}).name: ")
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            pytest.param(lambda raw: [raw], "config root must be a JSON object", id="root-not-object"),
+            pytest.param(lambda raw: dict(raw, sectors=["alpha"]), "sectors[0]: expected an object", id="sector-list"),
+            pytest.param(
+                with_sector(tickers=["A", "B"]), "sectors[0] (alpha).data: required string path", id="no-data"
+            ),
+            pytest.param(
+                with_sector(data="d"), "sectors[0] (alpha).tickers: required for per_ticker format", id="no-tickers"
+            ),
+            pytest.param(
+                with_sector(data="d", tickers=["A", "B", "A"]),
+                "sectors[0] (alpha).tickers: duplicates present",
+                id="duplicate-tickers",
+            ),
+            # weights_from_csv and a wide file's header strip the names, so " A" could never be matched
+            *(
+                pytest.param(with_sector(data="d", tickers=[ticker, "B"]), PADDED, id=f"ticker-{label}")
+                for label, ticker in (("leading-space", " A"), ("trailing-tab", "A\t"), ("empty", ""))
+            ),
+            pytest.param(lambda raw: dict(raw, hrp="ward"), "hrp: expected an object", id="hrp-not-object"),
+            pytest.param(lambda raw: dict(raw, eigen=[0.8]), "eigen: expected an object", id="eigen-not-object"),
+        ],
+    )
+    def test_rule_problem(self, change, problem):
+        with pytest.raises(ConfigError) as caught:
+            validate_config(change(copy.deepcopy(MINIMAL)))
+        assert caught.value.problems == [problem]
 
     @pytest.mark.parametrize("distance", ["euclidean_returns", "manhattan"])
     def test_distance_other_than_sqrt_half_rejected(self, distance):
@@ -584,6 +623,15 @@ class TestMainEntry:
             synthetic_main(["--out", str(tmp_path / "syn"), *counts])
         assert exit_info.value.code == 2 and "usage:" in capsys.readouterr().err
         assert not (tmp_path / "syn").exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/syn"], ids=["a-file", "under-a-file"])
+    def test_synthetic_out_that_cannot_be_a_directory_is_a_usage_error(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("kept\n")
+        with pytest.raises(SystemExit) as exit_info:
+            synthetic_main(["--out", str(tmp_path / out), "--sectors", "1", "--tickers", "2"])
+        assert exit_info.value.code == 2
+        assert "error: cannot write the fixture under --out: [Errno 20] Not a directory" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_env_overrides(self, fixture_config, tmp_path):
         # the rate comes from the config file, the output directory from --out

@@ -17,8 +17,9 @@ from portlab.errors import (
     DegenerateLoadingSum,
     InsufficientObservations,
     NoViableCandidate,
+    ZeroVarianceAsset,
 )
-from portlab.returns_stats import ReturnsMatrix, correlation, sample_covariance
+from portlab.returns_stats import CorrelationMatrix, CovarianceMatrix, ReturnsMatrix, correlation, sample_covariance
 
 
 def returns_matrix(values, tickers=None):
@@ -115,6 +116,29 @@ class TestFitPca:
         model = fit_pca(cov)
         roots = charpoly_eigenvalues(cov.values)
         assert model.eigenvalues == pytest.approx(roots, abs=1e-8)
+
+    # a correlation matrix is not checked for PSD, and a zero covariance has no variance to explain
+    @pytest.mark.parametrize(
+        "matrix, error, message",
+        [
+            pytest.param(
+                CorrelationMatrix(("A", "B", "C"), [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]),
+                ValueError,
+                "eigenvalue {} below numerical floor",
+                id="below-floor",
+            ),
+            pytest.param(
+                CovarianceMatrix(("A", "B"), np.zeros((2, 2))),
+                ZeroVarianceAsset,
+                "all assets have zero variance",
+                id="zero-variance",
+            ),
+        ],
+    )
+    def test_rejects_matrix_it_cannot_decompose(self, matrix, error, message):
+        with pytest.raises(error) as caught:
+            fit_pca(matrix)
+        assert str(caught.value) == message.format(np.linalg.eigh(matrix.values)[0].min())
 
     def test_insufficient_observations(self):
         with pytest.raises(InsufficientObservations):
@@ -215,6 +239,14 @@ class TestSelectBestEigen:
         model = fit_pca(corr_of(returns))
         with pytest.raises(NoViableCandidate):
             select_best_eigen(returns, model, k_max=1)
+
+    def test_tickers_must_match(self, rng):
+        returns = returns_matrix(rng.normal(0, 0.01, size=(30, 3)))
+        model = fit_pca(corr_of(returns))
+        renamed = returns_matrix(returns.values, tickers=("X", "Y", "Z"))
+        with pytest.raises(ValueError) as caught:
+            select_best_eigen(renamed, model, k_max=1)
+        assert str(caught.value) == "model tickers do not match returns tickers"
 
     def test_k_max_validated(self, rng):
         returns = returns_matrix(rng.normal(0, 0.01, size=(30, 3)))

@@ -356,6 +356,13 @@ class TestAlignPanel:
         with pytest.raises(ValueError):
             align_panel([a])
 
+    def test_unknown_policy(self):
+        a = series("A", ("2021-01-01", 100), ("2021-01-04", 101))
+        b = series("B", ("2021-01-01", 50), ("2021-01-04", 51))
+        with pytest.raises(ValueError) as caught:
+            align_panel([a, b], "outer")
+        assert str(caught.value) == "unknown alignment policy 'outer'"
+
     def test_intersection_equals_set_intersection(self, rng):
         base = date(2019, 1, 1).toordinal()
         all_days = [date.fromordinal(base + i) for i in range(60)]

@@ -13,7 +13,7 @@ import pytest
 
 from portlab.eigen import PCAModel
 from portlab.errors import MalformedTree, NonPositivePrice
-from portlab.hrp import DistanceMatrix, LinkageTree
+from portlab.hrp import DistanceMatrix, LinkageTree, SeriationOrder
 from portlab.market_data import PricePanel, PriceSeries, PriceTable
 from portlab.portfolio import PortfolioWeights
 from portlab.returns_stats import CorrelationMatrix, CovarianceMatrix, ReturnsMatrix
@@ -178,6 +178,82 @@ def test_missing_day_rejected_in_one_row_returns():
     with pytest.raises(ValueError) as caught:
         ReturnsMatrix(("A",), (None,), np.zeros((1, 1)))
     assert str(caught.value) == "returns dates not strictly increasing"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: PortfolioWeights(TICKERS, np.full(2, 0.5), "EIGEN"),
+            "3 tickers but weight shape (2,)",
+            id="weights-shape",
+        ),
+        pytest.param(
+            lambda: PortfolioWeights(TICKERS, with_nan(THIRDS, 1), "EIGEN"),
+            "weights contain non-finite values",
+            id="weights-nan",
+        ),
+        pytest.param(
+            lambda: PortfolioWeights(TICKERS, np.full(3, 0.5), "EIGEN"),
+            "weights sum to 1.5, expected 1 within 1e-09",
+            id="weights-sum",
+        ),
+        # eigen weights may short; HRP weights are long-only
+        pytest.param(
+            lambda: PortfolioWeights(TICKERS, [1.5, -0.25, -0.25], "HRP"),
+            "HRP weights must lie in (0, 1]",
+            id="hrp-short",
+        ),
+        pytest.param(
+            lambda: PortfolioWeights(TICKERS, [0.5, 0.5, 0.0], "HRP"), "HRP weights must lie in (0, 1]", id="hrp-zero"
+        ),
+        pytest.param(
+            lambda: PCAModel(TICKERS, np.ones(2), EYE, standardized=True),
+            "eigenvalues must have one entry per ticker",
+            id="PCAModel-eigenvalue-shape",
+        ),
+        pytest.param(
+            lambda: PCAModel(TICKERS, np.ones(3), np.eye(2), standardized=True),
+            "loadings shape (2, 2) != (3, 3)",
+            id="PCAModel-loadings-shape",
+        ),
+        pytest.param(
+            lambda: PCAModel(TICKERS, [1.0, 0.5, -0.5], EYE, standardized=True),
+            "eigenvalues must be >= 0 after clamping",
+            id="PCAModel-negative-eigenvalue",
+        ),
+        pytest.param(
+            lambda: DistanceMatrix(TICKERS, EYE - 1.0), "distances must be >= 0", id="DistanceMatrix-negative"
+        ),
+        pytest.param(
+            lambda: DistanceMatrix(TICKERS, np.ones((3, 3))),
+            "distance diagonal must be exactly 0",
+            id="DistanceMatrix-diagonal",
+        ),
+        pytest.param(
+            lambda: SeriationOrder((0, 0, 2)), "not a permutation of 0..2: (0, 0, 2)", id="SeriationOrder-repeat"
+        ),
+        pytest.param(
+            lambda: ReturnsMatrix(TICKERS, DAYS, np.zeros((3, 2))),
+            "returns shape (3, 2) does not match dates x tickers",
+            id="ReturnsMatrix-shape",
+        ),
+        pytest.param(
+            lambda: CorrelationMatrix(TICKERS, 0.5 * EYE),
+            "correlation diagonal must be 1",
+            id="CorrelationMatrix-diagonal",
+        ),
+        pytest.param(
+            lambda: CorrelationMatrix(TICKERS, np.where(EYE == 1.0, 1.0, 1.5)),
+            "correlation entries must lie in [-1, 1]",
+            id="CorrelationMatrix-range",
+        ),
+    ],
+)
+def test_type_rejects_what_breaks_its_rule(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 SQUARE_TYPES = [

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args
 
 import numpy as np
 
 from .config import _finite
 from .errors import TickerMismatch
-from .market_data import PricePanel, _csv_text
+from .market_data import PeriodLabel, PricePanel, _csv_text
 from .portfolio import PortfolioWeights
 from .returns_stats import (
     TRADING_DAYS_PER_YEAR,
@@ -24,7 +24,7 @@ from .returns_stats import (
     sharpe_ratio,
 )
 
-PERIODS = ("train", "test")
+PERIODS: tuple[PeriodLabel, ...] = get_args(PeriodLabel)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,12 @@ def evaluate(
     sector: str = "",
     extra_metadata: Mapping[str, Any] | None = None,
 ) -> BacktestReport:
-    """Backtest every method's weights on both periods and fill the report."""
+    """Backtest every method's weights on both periods and fill the report.
+
+    The metadata holds the return conventions and each period's first and last
+    day, plus ``extra_metadata``. Weights carry no metadata of their own, so
+    weights read back from CSV give the same report as freshly built ones.
+    """
     if not weights_by_method:
         raise ValueError("weights_by_method is empty: evaluate needs at least one method's weights")
     panels = {"train": train, "test": test}
@@ -87,7 +92,6 @@ def evaluate(
 
     methods: dict[str, dict[str, PeriodPerformance]] = {}
     columns: dict[str, list[np.ndarray]] = {label: [] for label in PERIODS}
-    provenance: dict[str, Any] = {}
     for method in sorted(weights_by_method):
         weights = weights_by_method[method]
         methods[method] = {}
@@ -96,8 +100,6 @@ def evaluate(
             metrics = sharpe_ratio(daily, risk_free)
             methods[method][label] = PeriodPerformance(metrics.annual_volatility, metrics.sharpe_ratio)
             columns[label].append(daily)
-        if weights.metadata:
-            provenance[method.lower()] = dict(weights.metadata)
     series = {
         label: ReturnsMatrix(tuple(methods), period_returns[label].dates, np.column_stack(columns[label]))
         for label in PERIODS
@@ -112,7 +114,6 @@ def evaluate(
             for label, panel in panels.items()
         },
     }
-    metadata.update(provenance)
     metadata.update(dict(extra_metadata or {}))
     return BacktestReport(sector=sector, methods=methods, metadata=metadata, series=series)
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import get_args
 
 from . import backtest as bt
-from .config import ROOT_ARTIFACTS, ExperimentConfig, SectorConfig, load_config
+from .config import ROOT_ARTIFACTS, SETTINGS, ExperimentConfig, SectorConfig, load_config
 from .eigen import EigenCandidate, fit_pca, min_components_for_variance, select_best_eigen
 from .errors import ConfigError, PortlabError
 from .hrp import build_hrp_portfolio, dendrogram_json
@@ -269,6 +269,8 @@ def _resolved_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config)
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    if args.out and not SETTINGS["output_dir"].accepts(args.out):  # "" keeps the configured directory
+        raise ConfigError([f"--out: {SETTINGS['output_dir'].text}"])
     return replace(config, output_dir=args.out) if args.out else config
 
 

@@ -15,7 +15,7 @@ import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, get_args
 
 from .errors import ConfigError
 from .hrp import LinkageMethod
@@ -43,17 +43,14 @@ def _one_of(*choices: str) -> Callable[[Any], bool]:
     return lambda v: v in choices
 
 
+ALIGNMENTS, LINKAGES = get_args(AlignmentPolicy), get_args(LinkageMethod)
+
+
 SETTINGS: dict[str, Setting] = {
     "risk_free_rate": Setting(0.0, _finite, "must be a finite number"),
-    "alignment": Setting(
-        "intersection", _one_of("intersection", "forward_fill"),
-        "must be 'intersection' or 'forward_fill'",
-    ),
+    "alignment": Setting("intersection", _one_of(*ALIGNMENTS), f"must be {' or '.join(map(repr, ALIGNMENTS))}"),
     "hrp.distance": Setting("sqrt_half", _one_of("sqrt_half"), "must be 'sqrt_half'"),
-    "hrp.linkage": Setting(
-        "ward", _one_of("ward", "single", "complete", "average"),
-        "must be one of ward, single, complete, average",
-    ),
+    "hrp.linkage": Setting("ward", _one_of(*LINKAGES), f"must be one of {', '.join(LINKAGES)}"),
     "eigen.standardize": Setting(True, lambda v: isinstance(v, bool), "must be true or false"),
     # (0, 1], as no float lies strictly between 0 and math.ulp(0.0)
     "eigen.variance_threshold": Setting(
@@ -228,9 +225,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a JSON config file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as bad:
+        data = path.read_bytes()
+    except (OSError, ValueError) as bad:  # ValueError: a NUL in the path
         raise ConfigError([f"cannot read config {path}: {bad}"]) from bad
+    try:
+        raw = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as bad:  # bad syntax or bytes, integers over 4,300 digits, deep nesting
         raise ConfigError([f"config {path} is not valid JSON: {bad}"]) from bad
     return validate_config(raw)

@@ -17,13 +17,7 @@ import numpy as np
 from .errors import DegenerateLoadingSum, NoViableCandidate, ZeroVarianceAsset, ZeroVolatility
 from .market_data import _frozen
 from .portfolio import PortfolioWeights
-from .returns_stats import (
-    TRADING_DAYS_PER_YEAR,
-    CorrelationMatrix,
-    CovarianceMatrix,
-    ReturnsMatrix,
-    sharpe_ratio,
-)
+from .returns_stats import CorrelationMatrix, CovarianceMatrix, ReturnsMatrix, sharpe_ratio
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +37,6 @@ class PCAModel:
     tickers: tuple[str, ...]
     eigenvalues: np.ndarray = field(repr=False)
     loadings: np.ndarray = field(repr=False)
-    standardized: bool
 
     def __post_init__(self) -> None:
         arrays = [_frozen(self, name) for name in ("eigenvalues", "loadings")]
@@ -107,12 +100,7 @@ def fit_pca(matrix: CorrelationMatrix | CovarianceMatrix) -> PCAModel:
 
     if float(eigenvalues.sum()) <= 0.0:
         raise ZeroVarianceAsset(list(matrix.tickers), "all assets have zero variance")
-    return PCAModel(
-        tickers=matrix.tickers,
-        eigenvalues=eigenvalues,
-        loadings=vectors,
-        standardized=isinstance(matrix, CorrelationMatrix),
-    )
+    return PCAModel(tickers=matrix.tickers, eigenvalues=eigenvalues, loadings=vectors)
 
 
 def min_components_for_variance(model: PCAModel, threshold: float) -> int:
@@ -171,17 +159,5 @@ def select_best_eigen(
     if not candidates:
         raise NoViableCandidate(f"no viable eigen candidate among components 1..{k_max}")
     ranked = sorted(candidates, key=lambda c: (-c.in_sample_sharpe, c.component_index))
-    best = ranked[0]
-    weights = PortfolioWeights(
-        tickers=returns.tickers,
-        weights=candidate_portfolio(model, best.component_index),
-        method="EIGEN",
-        metadata={
-            "component_index": best.component_index,
-            "candidate_sharpe": best.in_sample_sharpe,
-            "standardize": model.standardized,
-            "risk_free_rate": risk_free,
-            "trading_days_per_year": TRADING_DAYS_PER_YEAR,
-        },
-    )
-    return weights, ranked
+    weights = candidate_portfolio(model, ranked[0].component_index)
+    return PortfolioWeights(tickers=returns.tickers, weights=weights, method="EIGEN"), ranked

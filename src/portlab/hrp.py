@@ -15,8 +15,9 @@ rank-deficient covariances are handled without special casing.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
-from typing import Any, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .errors import MalformedTree, ZeroVarianceAsset
 from .market_data import _frozen
 from .portfolio import PortfolioWeights
 from .returns_stats import VARIANCE_FLOOR, CorrelationMatrix, CovarianceMatrix, _square_matrix
+
+logger = logging.getLogger(__name__)
 
 LinkageMethod = Literal["ward", "single", "complete", "average"]
 
@@ -130,7 +133,7 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
     n = len(dist.tickers)
     if n < 2:
         raise ValueError("linkage needs at least 2 assets")
-    if method not in ("ward", "single", "complete", "average"):
+    if method not in get_args(LinkageMethod):
         raise ValueError(f"unknown linkage method {method!r}")
 
     d = np.triu(dist.values, 1)
@@ -211,18 +214,15 @@ def _block_variance(block: np.ndarray, tickers: Sequence[str]) -> float:
     return float(w @ block @ w)
 
 
-def recursive_bisection(
-    cov: CovarianceMatrix,
-    order: SeriationOrder,
-    extra_metadata: dict[str, Any] | None = None,
-) -> PortfolioWeights:
+def recursive_bisection(cov: CovarianceMatrix, order: SeriationOrder) -> PortfolioWeights:
     """Top-down inverse-variance capital split along the seriation order.
 
     Starting from the full seriated list with unit mass, every slice of
     length >= 2 is cut at its midpoint; the left half's weights scale by
     alpha = 1 - V_left / (V_left + V_right) and the right half's by
     1 - alpha. When both half variances underflow the numerical floor the
-    split falls back to alpha = 0.5 and the event is counted in metadata.
+    split falls back to alpha = 0.5 and logs a warning naming the split's
+    span of seriation positions.
 
     The covariance is permuted once into seriation order, so every slice is
     a contiguous span of that block; the weights are scattered back to the
@@ -239,7 +239,6 @@ def recursive_bisection(
     labels = order.tickers(cov.tickers)
     weights = np.ones(len(positions))
     spans = [(0, len(positions))]
-    degenerate_splits = 0
     while spans:
         start, stop = spans.pop()
         if stop - start < 2:
@@ -250,7 +249,7 @@ def recursive_bisection(
         total = v_left + v_right
         if total <= VARIANCE_FLOOR:
             alpha = 0.5
-            degenerate_splits += 1
+            logger.warning("both halves of seriation positions %d..%d are riskless; split evenly", start, stop - 1)
         else:
             alpha = 1.0 - v_left / total
             if alpha in (0.0, 1.0):  # one half's variance is 0 or negligible beside the other's
@@ -263,10 +262,7 @@ def recursive_bisection(
         spans += ((mid, stop), (start, mid))
     scattered = np.empty_like(weights)
     scattered[positions] = weights
-
-    metadata: dict[str, Any] = {"degenerate_splits": degenerate_splits}
-    metadata.update(extra_metadata or {})
-    return PortfolioWeights(tickers=cov.tickers, weights=scattered, method="HRP", metadata=metadata)
+    return PortfolioWeights(tickers=cov.tickers, weights=scattered, method="HRP")
 
 
 class HrpResult(NamedTuple):
@@ -289,10 +285,7 @@ def build_hrp_portfolio(
     """
     tree = ward_linkage(correlation_distance(corr), method=linkage_method)
     order = quasi_diagonalize(tree)
-    weights = recursive_bisection(
-        cov, order, extra_metadata={"distance": "sqrt_half", "linkage": linkage_method}
-    )
-    return HrpResult(weights=weights, tree=tree, order=order)
+    return HrpResult(weights=recursive_bisection(cov, order), tree=tree, order=order)
 
 
 def dendrogram_json(tree: LinkageTree, tickers: Sequence[str]) -> str:

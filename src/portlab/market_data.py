@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import IO, Callable, Iterable, Literal, Sequence
+from typing import IO, Callable, Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -197,7 +197,7 @@ class PeriodSpec:
     end: date
 
     def __post_init__(self) -> None:
-        if self.label not in ("train", "test"):
+        if self.label not in get_args(PeriodLabel):
             raise ValueError(f"period label must be 'train' or 'test', got {self.label!r}")
         if self.start > self.end:
             raise ValueError(f"start {self.start} is after end {self.end}")
@@ -399,7 +399,7 @@ def align_panel(series: PriceTable | Sequence[PriceSeries], policy: AlignmentPol
     """
     if len(series) < 2:
         raise ValueError("align_panel needs at least 2 series")
-    if policy not in ("intersection", "forward_fill"):
+    if policy not in get_args(AlignmentPolicy):
         raise ValueError(f"unknown alignment policy {policy!r}")
 
     if not isinstance(series, PriceTable):  # scattered into one table over the union of their days

@@ -1,11 +1,11 @@
-"""Portfolio weight vectors with provenance metadata and CSV round-tripping."""
+"""Portfolio weight vectors and their CSV round-trip."""
 
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Any, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class PortfolioWeights:
     tickers: tuple[str, ...]
     weights: np.ndarray = field(repr=False)
     method: Method
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         weights = _frozen(self, "weights")

@@ -222,10 +222,6 @@ def artifact_names(sector_dir):
     return sorted(p.name for p in sector_dir.iterdir())
 
 
-def tree_bytes(root):
-    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 def assert_csv_rows_fit_header(root):
     """Every CSV under ``root`` parses into data rows as wide as its header."""
     paths = sorted(root.rglob("*.csv"))
@@ -267,12 +263,10 @@ class TestRunExperiment:
             with (sector_dir / "eigen_candidates.csv").open(newline="", encoding="utf-8") as handle:
                 header, pick, *_ = csv.reader(handle)
             assert header == ["component_index", "in_sample_sharpe", "gross_leverage", "train_annual_volatility"]
-            report = json.loads((sector_dir / "report.json").read_text(encoding="utf-8"))
-            chosen, train = report["metadata"]["eigen"], report["methods"]["EIGEN"]["train"]
+            train = json.loads((sector_dir / "report.json").read_text(encoding="utf-8"))["methods"]["EIGEN"]["train"]
             with (sector_dir / "weights_eigen.csv").open(newline="", encoding="utf-8") as handle:
                 weights = [float(row[1]) for row in list(csv.reader(handle))[1:]]
-            assert int(pick[0]) == chosen["component_index"]
-            assert float(pick[1]) == chosen["candidate_sharpe"] == train["sharpe_ratio"]
+            assert float(pick[1]) == train["sharpe_ratio"]
             assert float(pick[2]) == float(np.abs(weights).sum())
             assert float(pick[3]) == train["annual_volatility"]
 
@@ -481,20 +475,23 @@ class TestMainEntry:
         assert main(["run", *common, str(run)]) == EXIT_OK
         assert main(["build", *common, str(staged)]) == EXIT_OK
         assert main(["backtest", *common, str(staged), "--weights", str(staged)]) == EXIT_OK
-        assert (staged / "summary.json").read_bytes() == (run / "summary.json").read_bytes()
-        for sector in ("sector1", "sector2"):
-            direct = json.loads((run / sector / "report.json").read_text())
-            via_weights = json.loads((staged / sector / "report.json").read_text())
-            assert via_weights["methods"] == direct["methods"]
-            # weights_*.csv holds no build metadata, so only `run` reports these blocks
-            del direct["metadata"]["hrp"], direct["metadata"]["eigen"]
-            assert via_weights == direct
-            returns = sorted(path.name for path in (run / sector).glob("returns_*.csv"))
-            assert len(returns) == 4
-            for name in returns:
-                assert (staged / sector / name).read_bytes() == (run / sector / name).read_bytes()
+        assert output_tree(staged) == output_tree(run)
         assert_csv_rows_fit_header(run)
         assert_csv_rows_fit_header(staged)
+
+    @pytest.mark.parametrize("command", ["run", "backtest"])
+    def test_report_metadata_keys(self, fixture_config, tmp_path, command):
+        common = ["--config", str(fixture_config), "--out", str(tmp_path / "out")]
+        if command == "backtest":
+            assert main(["build", *common]) == EXIT_OK
+            common += ["--weights", str(tmp_path / "out")]
+        assert main([command, *common]) == EXIT_OK
+        reports = sorted((tmp_path / "out").glob("*/report.json"))
+        assert len(reports) == 2
+        for path in reports:
+            assert set(json.loads(path.read_text(encoding="utf-8"))["metadata"]) == {
+                "alignment", "config_hash", "covariance", "periods", "risk_free_rate", "trading_days_per_year"
+            }
 
     def test_comma_in_names_is_quoted(self, tmp_path):
         tickers = ["A,1", "B", "C", "D"]
@@ -649,7 +646,7 @@ class TestMainEntry:
         monkeypatch.setenv("PORTLAB_RISK_FREE", "nan")
         monkeypatch.setenv("PORTLAB_OUT", str(tmp_path / "env_out"))
         assert main(["run", "--config", str(fixture_config)]) == EXIT_OK
-        assert tree_bytes(tmp_path / "out") == tree_bytes(plain)
+        assert output_tree(tmp_path / "out") == output_tree(plain)
         assert not (tmp_path / "env_out").exists()
 
     # json accepts the non-standard NaN and Infinity tokens, and integers beyond float range
@@ -672,24 +669,31 @@ class TestMainEntry:
         assert "eigen.variance_threshold: must be a number in (0, 1]" in captured.err
         assert captured.out == ""
 
-    # a NUL reaches mkdir as an embedded null byte; the config rules must stop it first
+    # a NUL reaches mkdir or open as an embedded null byte; the config rules must stop it first,
+    # in the config file or on the command line (a "--" key names the option given the value)
     @pytest.mark.parametrize(
         "key, value, problem",
         [
             ("name", "../escape", "sectors[0] (../escape).name: "),
             ("name", "a\0b", "sectors[0] (a\0b).name: "),
             ("output_dir", "o\0ut", "output_dir: must be a non-empty string without NUL"),
+            ("--out", "o\0ut", "--out: must be a non-empty string without NUL"),
+            ("--config", "c\0onfig.json", "cannot read config "),
         ],
-        ids=["parent", "nul-name", "nul-output-dir"],
+        ids=["parent", "nul-name", "nul-output-dir", "nul-out", "nul-config"],
     )
     def test_sector_name_escaping_output_dir_exit_two(self, fixture_config, tmp_path, capsys, key, value, problem):
         raw = json.loads(fixture_config.read_text())
-        (raw["sectors"][0] if key == "name" else raw)[key] = value
+        options = {"--config": str(fixture_config), "--out": str(tmp_path / "nested" / "out")}
+        if key.startswith("--"):
+            options[key] = str(tmp_path / "nested" / value)
+        else:
+            (raw["sectors"][0] if key == "name" else raw)[key] = value
         fixture_config.write_text(json.dumps(raw))
-        out = tmp_path / "nested" / "out"
-        assert main(["build", "--config", str(fixture_config), "--out", str(out)]) == EXIT_CONFIG
-        problems = json.loads(capsys.readouterr().err)["config_errors"]
-        assert len(problems) == 1 and problems[0].startswith(problem)
+        for command in ("build", "validate"):
+            assert main([command, "--config", options["--config"], "--out", options["--out"]]) == EXIT_CONFIG
+            problems = json.loads(capsys.readouterr().err)["config_errors"]
+            assert len(problems) == 1 and problems[0].startswith(problem)
         assert not (tmp_path / "nested").exists()
 
     # reading or decoding these raises an error that is not a JSONDecodeError

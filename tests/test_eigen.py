@@ -57,7 +57,6 @@ def model_from(eigenvalues, loadings, tickers=None):
         tickers=tickers or tuple(f"T{i}" for i in range(len(eigenvalues))),
         eigenvalues=eigenvalues,
         loadings=np.asarray(loadings, dtype=float),
-        standardized=True,
     )
 
 
@@ -199,8 +198,8 @@ class TestSelectBestEigen:
         model = fit_pca(corr_of(returns))
         weights, candidates = select_best_eigen(returns, model, k_max=4)
         best = max(c.in_sample_sharpe for c in candidates)
-        assert weights.metadata["candidate_sharpe"] == best
-        assert all(weights.metadata["candidate_sharpe"] >= c.in_sample_sharpe for c in candidates)
+        assert candidates[0].in_sample_sharpe == best
+        assert np.array_equal(weights.weights, candidate_portfolio(model, candidates[0].component_index))
         assert candidates == sorted(
             candidates, key=lambda c: (-c.in_sample_sharpe, c.component_index)
         )
@@ -216,14 +215,15 @@ class TestSelectBestEigen:
         model = fit_pca(corr_of(returns))
         weights, candidates = select_best_eigen(returns, model, k_max=2)
         assert candidates[0].in_sample_sharpe == candidates[1].in_sample_sharpe
-        assert weights.metadata["component_index"] == 1
+        assert candidates[0].component_index == 1
+        assert np.array_equal(weights.weights, candidate_portfolio(model, 1))
 
     def test_single_component_selected_regardless(self, rng):
         returns = returns_matrix(rng.normal(-0.001, 0.01, size=(60, 3)))
         model = fit_pca(corr_of(returns))
         weights, candidates = select_best_eigen(returns, model, k_max=1)
-        assert len(candidates) == 1
-        assert weights.metadata["component_index"] == 1
+        assert len(candidates) == 1 and candidates[0].component_index == 1
+        assert np.array_equal(weights.weights, candidate_portfolio(model, 1))
 
     def test_weights_sum_to_one_and_allow_shorts(self, rng):
         values = rng.normal(0, 0.01, size=(90, 5))
@@ -274,7 +274,7 @@ class TestPCAModelInvariants:
     def test_rejects_bad_ratio_sum(self):
         # all-zero eigenvalues leave no ratios that sum to 1
         with pytest.raises(ValueError, match="^eigenvalues must have a positive sum$"):
-            PCAModel(tickers=("A", "B"), eigenvalues=np.zeros(2), loadings=np.eye(2), standardized=False)
+            PCAModel(tickers=("A", "B"), eigenvalues=np.zeros(2), loadings=np.eye(2))
 
     def test_ratios_follow_eigenvalues(self):
         # ratios are not an input: (1/3, 1/3, 1/3) beside eigenvalues (2, 1, 0) cannot be stated

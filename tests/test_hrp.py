@@ -1,4 +1,7 @@
+import contextlib
 import json
+import logging
+import logging.handlers
 import math
 from collections import deque
 from datetime import date
@@ -444,9 +447,23 @@ def index_list_bisection(cov, order):
     return weights, degenerate_splits, riskless
 
 
+@contextlib.contextmanager
+def hrp_warnings():
+    """The records ``portlab.hrp`` logs inside the block. A handler of its own, as
+    hypothesis rejects the function-scoped caplog fixture."""
+    handler = logging.handlers.BufferingHandler(capacity=1 << 30)  # never flushes
+    logger = logging.getLogger("portlab.hrp")
+    logger.addHandler(handler)
+    try:
+        yield handler.buffer
+    finally:
+        logger.removeHandler(handler)
+
+
 def assert_bisection_matches_reference(cov, order):
-    """Bitwise-equal weights and split count, or the same ZeroVarianceAsset payload
-    for a dead asset, or ZeroVarianceAsset naming one of the riskless halves."""
+    """Bitwise-equal weights and one warning per degenerate split, or the same
+    ZeroVarianceAsset payload for a dead asset, or ZeroVarianceAsset naming one
+    of the riskless halves."""
     try:
         expected, degenerate_splits, riskless = index_list_bisection(cov, order)
     except ZeroVarianceAsset as dead:
@@ -460,9 +477,10 @@ def assert_bisection_matches_reference(cov, order):
         assert caught.value.tickers in riskless  # the two walks may meet a different one first
         return None
     assert (expected > 0.0).all()
-    result = recursive_bisection(cov, order)
+    with hrp_warnings() as logged:
+        result = recursive_bisection(cov, order)
     assert result.weights.tobytes() == expected.tobytes()
-    assert result.metadata["degenerate_splits"] == degenerate_splits
+    assert len(logged) == degenerate_splits
     return result
 
 
@@ -506,8 +524,11 @@ class TestBisectionMatchesIndexLists:
         # each half is a perfectly anticorrelated pair: both half variances are 0
         pair = np.array([[1.0, -1.0], [-1.0, 1.0]])
         cov = CovarianceMatrix(tickers=tickers_for(4), values=1e-6 * np.kron(np.eye(2), pair))
-        result = assert_bisection_matches_reference(cov, SeriationOrder((0, 1, 2, 3)))
-        assert result.metadata["degenerate_splits"] == 1
+        with hrp_warnings() as logged:
+            result = assert_bisection_matches_reference(cov, SeriationOrder((0, 1, 2, 3)))
+        assert [record.getMessage() for record in logged] == [
+            "both halves of seriation positions 0..3 are riskless; split evenly"
+        ]
         assert result.weights.tolist() == [0.25, 0.25, 0.25, 0.25]
 
     def test_riskless_half_named(self):
@@ -566,11 +587,16 @@ class TestBuildHrpPortfolio:
         assert len(set(blocks_in_order[:5])) == 1
         assert len(set(blocks_in_order[5:])) == 1
 
-    def test_metadata_records_configuration(self, rng):
-        result = hrp_of(correlated_returns(rng), linkage_method="average")
-        assert result.weights.metadata["linkage"] == "average"
-        assert result.weights.metadata["distance"] == "sqrt_half"
-        assert result.weights.metadata["degenerate_splits"] == 0
+    def test_linkage_method_is_honoured(self, rng):
+        returns = correlated_returns(rng)
+        result = hrp_of(returns, linkage_method="average")
+        cov = sample_covariance(returns)
+        tree = ward_linkage(correlation_distance(correlation(cov)), method="average")
+        assert np.array_equal(result.tree.rows, tree.rows)
+        assert not np.array_equal(result.tree.rows, hrp_of(returns).tree.rows)  # ward merges at other heights
+        order = quasi_diagonalize(tree)
+        assert result.order == order
+        assert np.array_equal(result.weights.weights, recursive_bisection(cov, order).weights)
 
 
 class TestPermutationBehavior:

@@ -138,7 +138,7 @@ def owned_files(config_path, command, fmt):
 @given(
     config_edits=st.lists(CONFIG_EDITS, max_size=2),
     csv_edits=st.lists(CSV_EDITS, max_size=3),
-    out_kind=st.sampled_from(["fresh", "file", "below_file"]),
+    out_kind=st.sampled_from(["fresh", "file", "below_file", "nul"]),
     command=st.sampled_from(["run", "build"]),
     fmt=st.sampled_from(["json", "csv"]),
 )
@@ -156,8 +156,8 @@ def test_main_exits_0_1_or_2_and_explains_itself(fixture_root, config_edits, csv
         files = sorted((work / "data").rglob("*.csv"))
         for edit in csv_edits:
             edit_csv(files[edit[1]], edit)
-        out = work / "out"
-        if out_kind != "fresh":
+        out = work / ("o\0ut" if out_kind == "nul" else "out")
+        if out_kind in ("file", "below_file"):
             (work / "file").write_text("not a directory\n", encoding="utf-8")
             out = work / "file" if out_kind == "file" else work / "file" / "out"
 
@@ -166,6 +166,7 @@ def test_main_exits_0_1_or_2_and_explains_itself(fixture_root, config_edits, csv
             status = main([command, "--config", str(config_path), "--out", str(out), "--format", fmt])
 
         assert status in (EXIT_OK, EXIT_PARTIAL, EXIT_CONFIG)
+        assert status == EXIT_CONFIG or out_kind != "nul"  # --out is held to the output_dir rule
         if status == EXIT_OK:
             written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
             assert owned_files(config_path, command, fmt) <= written

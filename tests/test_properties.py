@@ -118,13 +118,13 @@ def seeded_panels(draw):
 
 
 def hrp_and_eigen(panel):
-    """The HRP result and the eigen weights the default build makes of the whole panel."""
+    """The HRP result, the eigen weights and the ranked eigen candidates the default build makes of the whole panel."""
     returns = daily_returns(panel)
     cov = sample_covariance(returns)
     corr = correlation(cov)
     model = fit_pca(corr)
-    eigen, _ = select_best_eigen(returns, model, min_components_for_variance(model, 0.8))
-    return build_hrp_portfolio(cov, corr), eigen
+    eigen, ranked = select_best_eigen(returns, model, min_components_for_variance(model, 0.8))
+    return build_hrp_portfolio(cov, corr), eigen, ranked
 
 
 def merged_sets(tree, tickers):
@@ -143,10 +143,10 @@ class TestMetamorphic:
         # left, so the seriation, and the bisection over it, follow the input order
         perm = data.draw(st.permutations(range(len(panel.tickers))))
         shuffled = PricePanel(tuple(panel.tickers[i] for i in perm), panel.dates, panel.closes[:, perm])
-        (hrp, eigen), (hrp_shuffled, eigen_shuffled) = hrp_and_eigen(panel), hrp_and_eigen(shuffled)
+        (hrp, eigen, ranked), (hrp_shuffled, eigen_shuffled, ranked_shuffled) = map(hrp_and_eigen, (panel, shuffled))
         assert np.abs(hrp_shuffled.tree.rows[:, 2] - hrp.tree.rows[:, 2]).max() <= 1e-12
         assert merged_sets(hrp_shuffled.tree, shuffled.tickers) == merged_sets(hrp.tree, panel.tickers)
-        assert eigen_shuffled.metadata["component_index"] == eigen.metadata["component_index"]
+        assert ranked_shuffled[0].component_index == ranked[0].component_index
         assert np.abs(eigen_shuffled.weights - eigen.weights[perm]).max() <= 1e-9
 
     @settings(deadline=None, max_examples=40)

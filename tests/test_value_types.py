@@ -34,7 +34,7 @@ VALUE_TYPES = [
     pytest.param(lambda: CorrelationMatrix(TICKERS, EYE), id="CorrelationMatrix"),
     pytest.param(lambda: DistanceMatrix(TICKERS, 1.0 - EYE), id="DistanceMatrix"),
     pytest.param(lambda: LinkageTree(3, [[0, 1, 0.5, 2], [2, 3, 1.0, 3]]), id="LinkageTree"),
-    pytest.param(lambda: PCAModel(TICKERS, np.ones(3), EYE, standardized=True), id="PCAModel"),
+    pytest.param(lambda: PCAModel(TICKERS, np.ones(3), EYE), id="PCAModel"),
     pytest.param(lambda: PortfolioWeights(TICKERS, THIRDS, "HRP"), id="PortfolioWeights"),
 ]
 
@@ -82,12 +82,12 @@ def with_nan(values, index):
             id="CorrelationMatrix",
         ),
         pytest.param(
-            lambda: PCAModel(TICKERS, with_nan(np.ones(3), 1), EYE, standardized=True),
+            lambda: PCAModel(TICKERS, with_nan(np.ones(3), 1), EYE),
             ValueError,
             id="PCAModel-eigenvalues",
         ),
         pytest.param(
-            lambda: PCAModel(TICKERS, np.ones(3), with_nan(EYE, (0, 1)), standardized=True),
+            lambda: PCAModel(TICKERS, np.ones(3), with_nan(EYE, (0, 1))),
             ValueError,
             id="PCAModel-loadings",
         ),
@@ -208,17 +208,17 @@ def test_missing_day_rejected_in_one_row_returns():
             lambda: PortfolioWeights(TICKERS, [0.5, 0.5, 0.0], "HRP"), "HRP weights must lie in (0, 1]", id="hrp-zero"
         ),
         pytest.param(
-            lambda: PCAModel(TICKERS, np.ones(2), EYE, standardized=True),
+            lambda: PCAModel(TICKERS, np.ones(2), EYE),
             "eigenvalues must have one entry per ticker",
             id="PCAModel-eigenvalue-shape",
         ),
         pytest.param(
-            lambda: PCAModel(TICKERS, np.ones(3), np.eye(2), standardized=True),
+            lambda: PCAModel(TICKERS, np.ones(3), np.eye(2)),
             "loadings shape (2, 2) != (3, 3)",
             id="PCAModel-loadings-shape",
         ),
         pytest.param(
-            lambda: PCAModel(TICKERS, [1.0, 0.5, -0.5], EYE, standardized=True),
+            lambda: PCAModel(TICKERS, [1.0, 0.5, -0.5], EYE),
             "eigenvalues must be >= 0 after clamping",
             id="PCAModel-negative-eigenvalue",
         ),

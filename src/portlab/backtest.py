@@ -62,7 +62,7 @@ class ComparisonSummary:
 
 def portfolio_daily_returns(weights: PortfolioWeights, returns: ReturnsMatrix) -> np.ndarray:
     """Fixed-weight daily portfolio return: r_p(t) = sum_i w_i * r_i(t)."""
-    column_of = {t: i for i, t in reversed(tuple(enumerate(returns.tickers)))}  # first wins, as tuple.index
+    column_of = {t: i for i, t in enumerate(returns.tickers)}
     missing = [t for t in weights.tickers if t not in column_of]
     if missing:
         raise TickerMismatch(f"weights reference tickers not in returns: {missing}")

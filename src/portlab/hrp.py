@@ -95,7 +95,7 @@ class SeriationOrder:
 
 def correlation_distance(corr: CorrelationMatrix) -> DistanceMatrix:
     """Leaf-level distances between assets: d = sqrt((1 - rho) / 2), in [0, 1]."""
-    values = np.sqrt(np.clip((1.0 - corr.values) / 2.0, 0.0, 1.0))
+    values = np.sqrt((1.0 - corr.values) / 2.0)  # CorrelationMatrix holds |rho| <= 1
     values = (values + values.T) / 2.0
     np.fill_diagonal(values, 0.0)
     return DistanceMatrix(tickers=corr.tickers, values=values)
@@ -159,8 +159,8 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
         d_ik, d_jk = d[i], d[j]
         if method == "ward":
             ni, nj, nk = sizes[i], sizes[j], sizes
-            numerator = (ni + nk) * d_ik**2 + (nj + nk) * d_jk**2 - nk * height**2
-            updated = np.sqrt(np.maximum(numerator, 0.0) / (ni + nj + nk))
+            numerator = (ni + nk) * d_ik**2 + (nj + nk) * d_jk**2 - nk * height**2  # >= 0: i, j is the closest pair
+            updated = np.sqrt(numerator / (ni + nj + nk))
         elif method == "single":
             updated = np.minimum(d_ik, d_jk)
         elif method == "complete":

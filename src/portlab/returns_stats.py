@@ -39,7 +39,7 @@ def _square_matrix(instance: Any, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ReturnsMatrix:
-    """T x N simple daily returns of named assets or portfolios, each row on the later day. Equality is identity."""
+    """T x N simple daily returns of distinct assets or portfolios, each row on the later day. Equality is identity."""
 
     tickers: tuple[str, ...]
     dates: np.ndarray = field(repr=False)
@@ -50,6 +50,8 @@ class ReturnsMatrix:
         values = _frozen(self, "values")
         if values.shape != (len(self.dates), len(self.tickers)):
             raise ValueError(f"returns shape {values.shape} does not match dates x tickers")
+        if len(set(self.tickers)) != len(self.tickers):
+            raise ValueError("duplicate tickers in returns")
         if not _ascending(dates):
             raise ValueError("returns dates not strictly increasing")
         if not np.isfinite(values).all():
@@ -117,8 +119,7 @@ def sample_covariance(returns: ReturnsMatrix) -> CovarianceMatrix:
     if returns.n_obs < 2:
         raise InsufficientObservations(f"{returns.n_obs} return row(s), need >= 2 for covariance")
     centered = returns.values - returns.values.mean(axis=0)
-    cov = centered.T @ centered / (returns.n_obs - 1)
-    cov = (cov + cov.T) / 2.0
+    cov = centered.T @ centered / (returns.n_obs - 1)  # exactly symmetric: numpy mirrors one triangle of A.T @ A
     return CovarianceMatrix(tickers=returns.tickers, values=cov, known_psd=True)
 
 

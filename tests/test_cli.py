@@ -257,6 +257,24 @@ class TestRunExperiment:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["winners"]) == {"sector1", "sector2"}
 
+    def test_any_format_but_csv_writes_the_json_tree(self, fixture_config, tmp_path):
+        config = load_config(fixture_config)
+        run_experiment(replace(config, output_dir=str(tmp_path / "json")))
+        status, _ = run_experiment(replace(config, output_dir=str(tmp_path / "xml")), fmt="xml")
+        assert status == EXIT_OK
+        assert output_tree(tmp_path / "xml") == output_tree(tmp_path / "json")
+
+    @pytest.mark.parametrize("train_end, warnings", [("2016-01-06", 1), ("2016-01-07", 0)])
+    def test_rank_deficiency_warned_up_to_one_return_per_asset(self, tmp_path, caplog, train_end, warnings):
+        # 2016-01-01..06 holds 4 weekdays, so 3 returns: centered, they span at most 2 of the 3 assets' dimensions
+        config_path = write_fixture(tmp_path, n_sectors=1, tickers_per_sector=3)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw["train"]["end"] = train_end
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        main(["run", "--config", str(config_path)])
+        messages = [r.getMessage() for r in caplog.records if r.name == "portlab.cli"]
+        assert messages == ["3 observations for 3 assets; covariance is rank-deficient"] * warnings
+
     def test_eigen_candidates_score_the_exported_pick(self, tmp_path):
         assert main(["run", "--config", str(write_fixture(tmp_path))]) == EXIT_OK
         for sector_dir in sorted((tmp_path / "out").glob("sector*")):

@@ -77,6 +77,14 @@ class TestFitPca:
         assert model.eigenvalues[-1] == pytest.approx(0.0, abs=1e-10)
         assert model.eigenvalues.min() >= 0.0
 
+    def test_clamps_negative_roundoff_eigenvalues_to_zero(self):
+        base = np.random.default_rng(0).normal(0, 0.01, size=(60, 3))
+        combined = np.column_stack([base, base[:, 0] + base[:, 1], base[:, 1] - 2.0 * base[:, 2]])
+        corr = corr_of(returns_matrix(combined))
+        assert np.linalg.eigvalsh(corr.values).min() < 0.0  # the input reaches the clamp
+        model = fit_pca(corr)
+        assert model.eigenvalues.min() == 0.0
+
     def test_reconstruction_and_orthonormality(self, rng):
         returns = returns_matrix(rng.normal(0, 0.02, size=(80, 5)))
         cov = sample_covariance(returns)
@@ -153,6 +161,12 @@ class TestMinComponents:
     def test_threshold_one_stops_at_last_nonzero(self):
         model = model_from([2.0, 1.0, 1.0, 0.0], np.eye(4))
         assert min_components_for_variance(model, 1.0) == 3
+
+    def test_crossing_short_by_roundoff_counts(self):
+        # 0.7 + 0.2 sums to 0.8999999999999999, within 1e-12 of the 0.9 threshold
+        model = model_from([7.0, 2.0, 1.0], np.eye(3))
+        assert np.cumsum(model.explained_ratio)[1] < 0.9
+        assert min_components_for_variance(model, 0.9) == 2
 
     def test_tiny_threshold(self):
         model = model_from([0.5, 0.3, 0.2], np.eye(3))
@@ -232,6 +246,24 @@ class TestSelectBestEigen:
         weights, _ = select_best_eigen(returns, model, k_max=5)
         assert abs(weights.weights.sum() - 1.0) <= 1e-9
         assert weights.method == "EIGEN"
+
+    def test_loading_sum_floor_boundary(self, rng):
+        # the reflection H that swaps the all-ones vector and `sums` is orthogonal and symmetric, so its
+        # column sums are H @ 1 = `sums`; 5e-7 and 5e-9 lie either side of LOADING_SUM_FLOOR = 1e-8
+        sums = np.array([math.sqrt(3.0 - 5e-7**2 - 5e-9**2), 5e-7, 5e-9])
+        w = sums - 1.0
+        reflection = np.eye(3) - 2.0 * np.outer(w, w) / (w @ w)
+        assert reflection.sum(axis=0) == pytest.approx(sums, rel=1e-6)
+        returns = returns_matrix(rng.normal(0, 0.01, size=(60, 3)))
+        _, candidates = select_best_eigen(returns, model_from([1.5, 1.0, 0.5], reflection), k_max=3)
+        assert sorted(c.component_index for c in candidates) == [1, 2]
+
+    def test_constant_candidate_series_skipped(self, rng):
+        # candidate 1 holds only the first asset, whose return is a constant power of two, so its
+        # mean is exact and its volatility exactly 0
+        returns = returns_matrix(np.column_stack([np.full(30, 2.0**-10), rng.normal(0, 0.01, size=30)]))
+        _, candidates = select_best_eigen(returns, model_from([1.0, 1.0], np.eye(2)), k_max=2)
+        assert [c.component_index for c in candidates] == [2]
 
     def test_all_candidates_degenerate(self):
         base = np.array([0.01, -0.02, 0.015, -0.01, 0.005])

@@ -173,6 +173,19 @@ class TestCorrelationDistance:
     def test_half_correlation(self):
         assert correlation_distance(self.corr(0.5)).values[0, 1] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([[1.0, 1.0 - 1e-12], [1.0 - 2e-12, 1.0]], id="asymmetric-within-tolerance"),
+            pytest.param([[1.0 - 1e-13, 0.5], [0.5, 1.0]], id="diagonal-within-tolerance"),
+        ],
+    )
+    def test_exactly_symmetric_with_zero_diagonal(self, values):
+        # CorrelationMatrix admits both defects up to 1e-12; the square root would raise them to ~1e-6
+        distance = correlation_distance(CorrelationMatrix(tickers=("A", "B"), values=np.array(values))).values
+        assert np.array_equal(distance, distance.T)
+        assert np.array_equal(np.diag(distance), [0.0, 0.0])
+
     def test_unknown_mode(self):
         # sqrt_half is the only metric; a config naming another one is refused
         raw = {
@@ -237,6 +250,12 @@ class TestWardLinkage:
         values = np.array([[0.0, 0.5, 0.9], [0.5 - 1e-13, 0.0, 0.7], [0.9, 0.7, 0.0]])
         tree = ward_linkage(distance_from(values), method="single")
         assert np.array_equal(tree.rows, [[0, 1, 0.5, 2], [2, 3, 0.7, 3]])
+        upper = np.triu([[0.0, 0.5, 0.9, 0.8], [0.0, 0.0, 0.7, 0.6], [0.0, 0.0, 0.0, 0.4], [0.0] * 4], 1)
+        below = np.tril([[0, 0, 0, 0], [1, 0, 0, 0], [-1, 1, 0, 0], [1, -1, 1, 0]], -1) * 1e-13
+        for method in ("ward", "single", "complete", "average"):
+            nearly = ward_linkage(distance_from(upper + upper.T + below), method=method)
+            mirrored = ward_linkage(distance_from(upper + upper.T), method=method)
+            assert np.array_equal(nearly.rows, mirrored.rows), method
 
     def test_matches_scipy_on_euclidean_points(self, rng):
         for _ in range(5):

@@ -1,3 +1,4 @@
+import logging
 from datetime import date
 from functools import partial
 from unittest import mock
@@ -181,6 +182,11 @@ class TestParseWideCsv:
     def test_duplicate_column(self):
         with pytest.raises(MalformedCsv):
             parse_wide_csv("Date,A,A\n2021-01-01,1,2\n")
+
+    def test_missing_closes_counted_in_an_info_record(self, caplog):
+        with caplog.at_level(logging.INFO, logger="portlab.market_data"):
+            parse_wide_csv(self.TEXT + "2021-01-06,,\n")
+        assert [r.getMessage() for r in caplog.records] == ["wide CSV: dropped 3 missing close(s)"]
 
 
 def per_ticker(text):

@@ -110,6 +110,13 @@ class TestCorrelation:
         rho = correlation(cov)
         assert rho.values[0, 1] == 1.0
 
+    def test_symmetric_for_a_covariance_asymmetric_within_tolerance(self):
+        # CovarianceMatrix admits asymmetry up to 1e-12; divided by 1e-6 variances it would be 1e-7
+        cov = CovarianceMatrix(tickers=("A", "B"), values=np.array([[1e-6, 5e-7 + 1e-13], [5e-7, 1e-6]]))
+        rho = correlation(cov).values
+        assert np.array_equal(rho, rho.T)
+        assert rho[0, 1] == pytest.approx(0.5, abs=1e-7)
+
     def test_zero_variance_asset_named(self):
         cov = CovarianceMatrix(tickers=("GOOD", "DEAD"), values=np.diag([1e-4, 0.0]))
         with pytest.raises(ZeroVarianceAsset) as caught:

@@ -239,6 +239,11 @@ def test_missing_day_rejected_in_one_row_returns():
             id="ReturnsMatrix-shape",
         ),
         pytest.param(
+            lambda: ReturnsMatrix(("A", "A", "B"), DAYS, np.zeros((3, 3))),
+            "duplicate tickers in returns",
+            id="ReturnsMatrix-repeat",
+        ),
+        pytest.param(
             lambda: CorrelationMatrix(TICKERS, 0.5 * EYE),
             "correlation diagonal must be 1",
             id="CorrelationMatrix-diagonal",

@@ -34,7 +34,7 @@ from .eigen import EigenCandidate, fit_pca, min_components_for_variance, select_
 from .errors import ConfigError, PortlabError
 from .hrp import build_hrp_portfolio, dendrogram_json
 from .market_data import (
-    PricePanel, _csv_text, _dated_csv_text, align_panel, load_price_csv, parse_wide_csv, slice_period
+    PricePanel, _csv_text, _dated_csv_text, _iso_texts, align_panel, load_price_csv, parse_wide_csv, slice_period
 )
 from .portfolio import Method, PortfolioWeights, weights_from_csv
 from .returns_stats import correlation, daily_returns, sample_covariance
@@ -187,7 +187,7 @@ def _run_one_sector(
             )
             files[f"report.{fmt}"] = bt.report_to_csv(report) if fmt == "csv" else bt.report_to_json(report)
             for period, series in (report.series or {}).items():
-                days = series.dates.astype(str).tolist()  # ISO text, shared by both methods' files
+                days = _iso_texts(series.dates.tobytes())  # ISO text, shared by both methods' files
                 for method, col in zip(series.tickers, series.values.T):
                     files[f"returns_{method.lower()}_{period}.csv"] = _dated_csv_text(("date", "return"), days, col)
         stage, source = "write", str(sector_dir)
@@ -339,10 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")  # a handler, unless one is installed
+    logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)  # per call, not only the first
     try:
         return args.handler(args)
     except ConfigError as bad:

@@ -10,6 +10,7 @@ reconciled.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
@@ -72,9 +73,9 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return buffer.getvalue()
 
 
-def _dated_csv_text(header: tuple[str, str], days: list[str], values: np.ndarray) -> str:
+def _dated_csv_text(header: tuple[str, str], days: Sequence[str], values: np.ndarray) -> str:
     """The text ``_csv_text(header, zip(days, values.tolist()))`` writes for
-    ISO ``days`` (``dates.astype(str).tolist()``) and finite floats,
+    ISO ``days`` (``_iso_texts(dates.tobytes())``) and finite floats,
     joined directly: an ISO date and a finite float's repr never need quoting."""
     rows = map(",".join, zip(days, map(repr, values.tolist())))
     return "\n".join([",".join(header), *rows, ""])
@@ -84,6 +85,20 @@ def _as_days(days: Sequence[date]) -> np.ndarray:
     """``datetime64[D]`` array of ``days``, built from ordinals (far cheaper than from dates)."""
     ordinals = np.fromiter(map(date.toordinal, days), dtype=np.int64, count=len(days))
     return (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+
+
+@functools.lru_cache(maxsize=1)  # a sector's files share one calendar: it is parsed once
+def _parse_days(column: str) -> np.ndarray:
+    """Read-only ``datetime64[D]`` array of the ``date.fromisoformat`` days of the comma-joined ``column``."""
+    days = _as_days(list(map(date.fromisoformat, column.split(","))))
+    days.flags.writeable = False
+    return days
+
+
+@functools.lru_cache(maxsize=2)  # a sector's train and test days, shared by the next sector
+def _iso_texts(days: bytes) -> tuple[str, ...]:
+    """ISO text of each day of the ``datetime64[D]`` array whose bytes are ``days``."""
+    return tuple(np.frombuffer(days, "datetime64[D]").astype(str).tolist())
 
 
 def _iso_day(text: str) -> date:
@@ -137,7 +152,7 @@ class PriceSeries:
 
     def to_csv(self) -> str:
         """Serialize back to ``Date,Close`` text; floats keep full precision."""
-        return _dated_csv_text(("Date", "Close"), self.dates.astype(str).tolist(), self.closes)
+        return _dated_csv_text(("Date", "Close"), _iso_texts(self.dates.tobytes()), self.closes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +278,7 @@ def _read_clean(text: str, pick_columns: ColumnPicker) -> Table | None:
         for k in np.flatnonzero(widths == 0).tolist():
             cells[k] = "nan"
         try:
-            dates[block] = _as_days(list(map(date.fromisoformat, cells[date_col::n_fields])))
+            dates[block] = _parse_days(",".join(cells[date_col::n_fields]))  # no cell holds a comma
         except ValueError:
             return None
         for j, col in enumerate(close_cols):

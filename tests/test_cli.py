@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import logging
 import math
 import os
 from dataclasses import replace
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import portlab.cli
 from conftest import output_tree
+from portlab import market_data
 from portlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, config_hash, main, run_experiment
 from portlab.config import SETTINGS, load_config, validate_config
 from portlab.errors import ConfigError
@@ -425,6 +427,46 @@ class TestMainEntry:
         assert main(["run", "--config", str(fixture_config)]) == EXIT_OK
         printed = capsys.readouterr().out
         assert "sector1" in printed and "Sharpe" in printed
+
+    def test_verbose_flag_sets_the_level_of_its_own_call(self, fixture_config, tmp_path, caplog):
+        # in one process, as the benchmark calls main: the first call installs the log handler, and
+        # every call sets its own level on the root logger
+        prices = tmp_path / "data" / "sector1" / "S1A.csv"
+        lines = prices.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ","  # a blank close
+        prices.write_text("\n".join(lines) + "\n")
+        root, dropped = logging.getLogger(), []
+        level = root.level
+        try:
+            for flags in ([], ["-v"], []):
+                caplog.clear()
+                assert main([*flags, "run", "--config", str(fixture_config)]) == EXIT_OK
+                dropped.append([r.getMessage() for r in caplog.records if r.name == "portlab.market_data"])
+        finally:
+            root.setLevel(level)
+        assert dropped == [[], ["S1A: dropped 1 missing close(s)"], []]
+
+    def test_each_calendar_converted_once_per_run(self, tmp_path):
+        # the default fixture's 70 files share one calendar and its 7 sectors one train and one test
+        # window: the first file and the first sector convert them, the rest hit the caches
+        config = write_fixture(tmp_path)
+        market_data._parse_days.cache_clear()
+        market_data._iso_texts.cache_clear()
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert market_data._parse_days.cache_info()[:2] == (69, 1)  # hits, misses
+        assert market_data._iso_texts.cache_info()[:2] == (12, 2)
+
+    def test_sectors_on_calendars_of_one_length_keep_their_own_days(self, fixture_config, tmp_path):
+        # sector2 trades on Sunday 2016-01-03 instead of Monday 2016-01-04: each window holds as many
+        # days as sector1's, so only the days themselves tell the two calendars apart
+        for prices in (tmp_path / "data" / "sector2").glob("*.csv"):
+            prices.write_text(prices.read_text().replace("2016-01-04,", "2016-01-03,"))
+        assert main(["run", "--config", str(fixture_config), "--out", str(tmp_path / "out")]) == EXIT_OK
+        first_days = {
+            sector: (tmp_path / "out" / sector / "returns_hrp_train.csv").read_text().splitlines()[1][:10]
+            for sector in ("sector1", "sector2")
+        }
+        assert first_days == {"sector1": "2016-01-04", "sector2": "2016-01-03"}
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -903,3 +903,78 @@ class TestDatedCsv:
     def test_empty_series_is_the_header_line(self):
         assert _dated_csv_text(("date", "return"), [], np.empty(0)) == "date,return\n"
         assert PriceSeries("A", dates=[], closes=[]).to_csv() == "Date,Close\n"
+
+
+CALENDAR_ROWS = 16  # rows in one block of a text CALENDAR_FIELDS wide
+CALENDAR_FIELDS = (1 << 16) // CALENDAR_ROWS
+
+
+def calendar_text(days, closes, fields=2):
+    """A wide text: ``Date``, close column ``A``, then blank columns up to ``fields`` in all."""
+    pad = "," * (fields - 2)
+    header = ",".join(["Date", "A", *(f"P{i}" for i in range(fields - 2))])
+    return "\n".join([header, *(f"{day},{close!r}{pad}" for day, close in zip(days, closes)), ""])
+
+
+def read_back(text):
+    """The table's date and close bits and each column's ``to_csv``, or the error's type and text."""
+    try:
+        table = parse_wide_csv(text, ["A"])
+    except PortlabError as error:
+        return type(error), str(error)
+    return table.dates.tobytes(), table.closes.tobytes(), [s.to_csv() for s in table]
+
+
+def clear_calendar_caches():
+    market_data._parse_days.cache_clear()
+    market_data._iso_texts.cache_clear()
+
+
+def warm_and_cold(texts):
+    """Each text read after the ones before it, and each read with the caches cleared."""
+    cold = []
+    for text in texts:
+        clear_calendar_caches()
+        cold.append(read_back(text))
+    clear_calendar_caches()
+    return [read_back(text) for text in texts], cold
+
+
+@st.composite
+def calendar_sequences(draw):
+    """Texts that meet the caches warm: calendars A, B, A (B is A with its last day moved, so the two
+    agree in length and first cell), then A's days with other closes, A's days unsorted and B again,
+    in a drawn order."""
+    ordinals = draw(st.lists(st.integers(0, 400), min_size=CALENDAR_ROWS + 1, max_size=CALENDAR_ROWS + 1, unique=True))
+    a = [date.fromordinal(BASE_DAY + d).isoformat() for d in sorted(ordinals[:-1])]
+    b = [*a[:-1], date.fromordinal(BASE_DAY + ordinals[-1]).isoformat()]
+    closes_st = st.lists(st.floats(0.01, 1e6), min_size=CALENDAR_ROWS, max_size=CALENDAR_ROWS)
+    closes, other_closes = draw(closes_st), draw(closes_st)
+    later = [calendar_text(a, other_closes), calendar_text(draw(st.permutations(a)), closes), calendar_text(b, closes)]
+    return [calendar_text(a, closes), later[2], calendar_text(a, closes), *draw(st.permutations(later))]
+
+
+class TestCalendarCaches:
+    @settings(deadline=None, max_examples=50)
+    @given(texts=calendar_sequences())
+    def test_warm_caches_read_what_cold_caches_read(self, texts):
+        warm, cold = warm_and_cold(texts)
+        assert warm == cold
+
+    def test_cached_column_then_a_bad_date_in_a_later_block(self):
+        # the bad text's first block repeats the cached column, and its second holds a bad date: the
+        # error is never cached, so the row loop reads the text and names the row, warm or cold
+        days = [date.fromordinal(BASE_DAY + 3 * d).isoformat() for d in range(CALENDAR_ROWS)]
+        closes = [100.0 + d for d in range(CALENDAR_ROWS)]
+        bad_later = calendar_text([*days, "2021-02-30"], [*closes, 1.0], CALENDAR_FIELDS)
+        warm, cold = warm_and_cold([calendar_text(days, closes), bad_later, bad_later])
+        assert warm == cold
+        assert cold[1:] == [(MalformedCsv, f"row {CALENDAR_ROWS + 2}: bad date '2021-02-30' (want YYYY-MM-DD)")] * 2
+
+    def test_cached_days_are_read_only(self):
+        days = market_data._parse_days("2021-01-04,2021-01-05")
+        assert not days.flags.writeable
+        table = parse_wide_csv(calendar_text(["2021-01-04", "2021-01-05"], [1.0, 2.0]))
+        assert market_data._parse_days.cache_info().hits >= 1
+        assert not np.shares_memory(table.dates, days)  # the table holds a copy
+        assert days.tolist() == [date(2021, 1, 4), date(2021, 1, 5)]

@@ -117,6 +117,18 @@ MUTANTS = [
            "n_blocks = max(1, n_assets // BLOCK_SIZE)"),
     Mutant("synthetic.py", "or args.seed < 0:", ":"),
     Mutant("synthetic.py", "return tuple(days[np.is_busday(days)].tolist())", "return tuple(days.tolist())"),
+    # the calendar caches, listed last so that every earlier mutant keeps its number: a date column
+    # keyed on its first cell, ISO text keyed on its length (in to_csv and in cli), a writable cached array
+    Mutant("market_data.py", '_parse_days(",".join(cells[date_col::n_fields]))',
+           '_parse_days(type("FirstCellKey", (str,), {"__hash__": lambda k: hash(k[:10]), '
+           '"__eq__": lambda k, other: k[:10] == other[:10]})(",".join(cells[date_col::n_fields])))'),
+    Mutant("market_data.py", "_iso_texts(self.dates.tobytes())",
+           '_iso_texts(type("LengthKey", (bytes,), {"__hash__": lambda k: len(k), '
+           '"__eq__": lambda k, other: len(k) == len(other)})(self.dates.tobytes()))'),
+    Mutant("market_data.py", "    days.flags.writeable = False\n    return days\n", "    return days\n"),
+    Mutant("cli.py", "_iso_texts(series.dates.tobytes())",
+           '_iso_texts(type("LengthKey", (bytes,), {"__hash__": lambda k: len(k), '
+           '"__eq__": lambda k, other: len(k) == len(other)})(series.dates.tobytes()))'),
 ]
 
 

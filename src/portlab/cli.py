@@ -34,7 +34,7 @@ from .eigen import EigenCandidate, fit_pca, min_components_for_variance, select_
 from .errors import ConfigError, PortlabError
 from .hrp import build_hrp_portfolio, dendrogram_json
 from .market_data import (
-    PricePanel, _csv_text, _dated_csv_text, _iso_texts, align_panel, load_price_csv, parse_wide_csv, slice_period
+    PricePanel, _csv_text, _dated_csv_text, align_panel, parse_price_csv, parse_wide_csv, slice_period
 )
 from .portfolio import Method, PortfolioWeights, weights_from_csv
 from .returns_stats import correlation, daily_returns, sample_covariance
@@ -103,10 +103,10 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def _load_sector_panels(sector: SectorConfig, config: ExperimentConfig) -> tuple[PricePanel, PricePanel]:
     if sector.input_format == "wide":
-        with open(sector.data, "rb") as handle:
-            prices = parse_wide_csv(handle, sector.tickers or None)
+        with open(sector.data, "rb") as handle:  # the path as configured, which a missing file's error names
+            prices = parse_wide_csv(handle.read(), sector.tickers or None)
     else:
-        prices = [load_price_csv(Path(sector.data) / f"{ticker}.csv", ticker) for ticker in sector.tickers]
+        prices = [parse_price_csv((Path(sector.data) / f"{t}.csv").read_bytes(), t) for t in sector.tickers]
     panel = align_panel(prices, config.alignment)
     return slice_period(panel, config.train), slice_period(panel, config.test)
 
@@ -187,9 +187,9 @@ def _run_one_sector(
             )
             files[f"report.{fmt}"] = bt.report_to_csv(report) if fmt == "csv" else bt.report_to_json(report)
             for period, series in (report.series or {}).items():
-                days = _iso_texts(series.dates.tobytes())  # ISO text, shared by both methods' files
                 for method, col in zip(series.tickers, series.values.T):
-                    files[f"returns_{method.lower()}_{period}.csv"] = _dated_csv_text(("date", "return"), days, col)
+                    text = _dated_csv_text(("date", "return"), series.dates, col)
+                    files[f"returns_{method.lower()}_{period}.csv"] = text
         stage, source = "write", str(sector_dir)
         _write_files(sector_dir, owned, files)
         return SectorResult(sector=sector.name, report=report)

@@ -17,8 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from datetime import date
-from pathlib import Path
-from typing import IO, Callable, Iterable, Literal, Sequence, get_args
+from typing import Callable, Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -73,11 +72,11 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return buffer.getvalue()
 
 
-def _dated_csv_text(header: tuple[str, str], days: Sequence[str], values: np.ndarray) -> str:
-    """The text ``_csv_text(header, zip(days, values.tolist()))`` writes for
-    ISO ``days`` (``_iso_texts(dates.tobytes())``) and finite floats,
-    joined directly: an ISO date and a finite float's repr never need quoting."""
-    rows = map(",".join, zip(days, map(repr, values.tolist())))
+def _dated_csv_text(header: tuple[str, str], dates: np.ndarray, values: np.ndarray) -> str:
+    """The text ``_csv_text(header, zip(dates.tolist(), values.tolist()))`` writes for
+    ``datetime64[D]`` ``dates`` and finite floats, joined directly: an ISO date
+    and a finite float's repr never need quoting."""
+    rows = map(",".join, zip(_iso_texts(dates.tobytes()), map(repr, values.tolist())))
     return "\n".join([",".join(header), *rows, ""])
 
 
@@ -89,8 +88,8 @@ def _as_days(days: Sequence[date]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)  # a sector's files share one calendar: it is parsed once
 def _parse_days(column: str) -> np.ndarray:
-    """Read-only ``datetime64[D]`` array of the ``date.fromisoformat`` days of the comma-joined ``column``."""
-    days = _as_days(list(map(date.fromisoformat, column.split(","))))
+    """Read-only ``datetime64[D]`` array of the ``_iso_day`` days of the comma-joined ``column``."""
+    days = _as_days(list(map(_iso_day, column.split(","))))
     days.flags.writeable = False
     return days
 
@@ -136,14 +135,12 @@ class PriceSeries:
         unordered = np.flatnonzero(dates[1:] <= dates[:-1]) + 1
         if unordered.size:
             row = unordered[0]
-            day = dates[row].item().isoformat()
             if dates[row] == dates[row - 1]:
-                raise DuplicateDate(f"{self.ticker}: duplicate date {day}")
-            raise ValueError(f"{self.ticker}: dates not ascending at {day}")
+                raise DuplicateDate(f"{self.ticker}: duplicate date {dates[row]}")
+            raise ValueError(f"{self.ticker}: dates not ascending at {dates[row]}")
         invalid = np.flatnonzero(~(np.isfinite(closes) & (closes > 0.0)))
         if invalid.size:
-            close, day = closes[invalid[0]].item(), dates[invalid[0]].item()
-            raise NonPositivePrice(f"{self.ticker}: close {close!r} on {day.isoformat()}")
+            raise NonPositivePrice(f"{self.ticker}: close {closes[invalid[0]].item()!r} on {dates[invalid[0]]}")
 
     @property
     def observations(self) -> tuple[tuple[date, float], ...]:
@@ -152,7 +149,7 @@ class PriceSeries:
 
     def to_csv(self) -> str:
         """Serialize back to ``Date,Close`` text; floats keep full precision."""
-        return _dated_csv_text(("Date", "Close"), _iso_texts(self.dates.tobytes()), self.closes)
+        return _dated_csv_text(("Date", "Close"), self.dates, self.closes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,16 +257,10 @@ def _read_clean(text: str, pick_columns: ColumnPicker) -> Table | None:
         raw = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
         ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
         widths = np.diff(ends, prepend=-1, append=raw.size) - 1  # in bytes, one per field
-        # every date field 10 bytes wide with "-" at bytes 4 and 7, so that date.fromisoformat
-        # reads it as _iso_day does on any Python
-        date_starts = np.concatenate(([0], ends + 1))[date_col::n_fields]
         if (
             ends.size != len(rows) * n_fields - 1
             or (raw[ends[n_fields - 1 :: n_fields]] != ord("\n")).any()
             or widths.max() > limit
-            or (widths[date_col::n_fields] != 10).any()
-            or (raw[date_starts + 4] != ord("-")).any()
-            or (raw[date_starts + 7] != ord("-")).any()
         ):
             return None
         # the separators are ASCII, so field k in bytes is field k of the split; a blank cell reads
@@ -317,7 +308,7 @@ def _read_rows(text: str, label: str, pick_columns: ColumnPicker) -> Table:
     return names, _as_days(days), row_numbers, np.array(cells, dtype=float).reshape(len(days), len(close_cols))
 
 
-def _read_table(source: IO[bytes] | IO[str] | bytes | str, label: str, pick_columns: ColumnPicker) -> PriceTable:
+def _read_table(source: bytes | str, label: str, pick_columns: ColumnPicker) -> PriceTable:
     """The reader behind both parsers: one table column per close column.
 
     ``pick_columns`` maps the stripped header to the date column, the series
@@ -332,8 +323,7 @@ def _read_table(source: IO[bytes] | IO[str] | bytes | str, label: str, pick_colu
     which names the row of an arity or date fault and the line of a csv
     reader fault.
     """
-    raw = source if isinstance(source, (bytes, str)) else source.read()
-    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
+    text = source.decode("utf-8-sig") if isinstance(source, bytes) else source.removeprefix("\ufeff")
     table = _read_clean(text, pick_columns)
     names, dates, row_numbers, closes = table if table is not None else _read_rows(text, label, pick_columns)
 
@@ -341,19 +331,19 @@ def _read_table(source: IO[bytes] | IO[str] | bytes | str, label: str, pick_colu
     nonpositive = np.argwhere(closes <= 0.0)
     if nonpositive.size:
         row, col = nonpositive[0]
-        close, day = closes[row, col].item(), dates[row].item().isoformat()
-        raise NonPositivePrice(f"{names[col]}: close {close} on {day} (row {row_numbers[row]})")
+        close = closes[row, col].item()
+        raise NonPositivePrice(f"{names[col]}: close {close} on {dates[row]} (row {row_numbers[row]})")
     order = np.argsort(dates, kind="stable")
     dates, closes = dates[order], closes[order]
     repeated = np.flatnonzero(dates[1:] == dates[:-1])
     if repeated.size:
-        raise DuplicateDate(f"{label}: duplicate date {dates[repeated[0]].item().isoformat()}")
+        raise DuplicateDate(f"{label}: duplicate date {dates[repeated[0]]}")
     if missing := int(np.isnan(closes).sum()):
         logger.info("%s: dropped %d missing close(s)", label, missing)
     return PriceTable(tickers=tuple(names), dates=dates, closes=closes)
 
 
-def parse_price_csv(source: IO[bytes] | IO[str] | bytes | str, ticker: str) -> PriceSeries:
+def parse_price_csv(source: bytes | str, ticker: str) -> PriceSeries:
     """Parse one ticker's ``Date,Close`` CSV into a sorted PriceSeries.
 
     Rows with an empty or non-numeric close are dropped as missing quotes.
@@ -371,7 +361,7 @@ def parse_price_csv(source: IO[bytes] | IO[str] | bytes | str, ticker: str) -> P
 
 
 def parse_wide_csv(
-    source: IO[bytes] | IO[str] | bytes | str,
+    source: bytes | str,
     tickers: Iterable[str] | None = None,
 ) -> PriceTable:
     """Parse a wide CSV (``Date`` plus one close column per ticker) into one table.
@@ -396,13 +386,6 @@ def parse_wide_csv(
         return 0, wanted, [column[name] for name in wanted]
 
     return _read_table(source, "wide CSV", pick_columns)
-
-
-def load_price_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
-    """Read ``<TICKER>.csv`` from disk; the ticker defaults to the file stem."""
-    path = Path(path)
-    with path.open("rb") as handle:
-        return parse_price_csv(handle, ticker or path.stem)
 
 
 def align_panel(series: PriceTable | Sequence[PriceSeries], policy: AlignmentPolicy = "intersection") -> PricePanel:

@@ -448,13 +448,14 @@ class TestMainEntry:
 
     def test_each_calendar_converted_once_per_run(self, tmp_path):
         # the default fixture's 70 files share one calendar and its 7 sectors one train and one test
-        # window: the first file and the first sector convert them, the rest hit the caches
+        # window: the first file and the first returns file of each window convert them, the rest
+        # (one lookup per returns file) hit the caches
         config = write_fixture(tmp_path)
         market_data._parse_days.cache_clear()
         market_data._iso_texts.cache_clear()
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
         assert market_data._parse_days.cache_info()[:2] == (69, 1)  # hits, misses
-        assert market_data._iso_texts.cache_info()[:2] == (12, 2)
+        assert market_data._iso_texts.cache_info()[:2] == (26, 2)
 
     def test_sectors_on_calendars_of_one_length_keep_their_own_days(self, fixture_config, tmp_path):
         # sector2 trades on Sunday 2016-01-03 instead of Monday 2016-01-04: each window holds as many

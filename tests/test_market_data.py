@@ -893,15 +893,14 @@ class TestDatedCsv:
         values = data.draw(st.lists(FINITE_ST, min_size=len(days), max_size=len(days)))
         # a returns_*.csv is one column of a period's ReturnsMatrix, a strided view
         matrix = ReturnsMatrix(("A", "B"), tuple(days), np.column_stack([np.zeros(len(days)), values]))
-        days_text = np.datetime_as_string(matrix.dates).tolist()
-        returns = _dated_csv_text(("date", "return"), days_text, matrix.values[:, 1])
+        returns = _dated_csv_text(("date", "return"), matrix.dates, matrix.values[:, 1])
         assert returns == _csv_text(("date", "return"), zip(days, values))
         closes = [abs(v) or 5e-324 for v in values]
         prices = PriceSeries("A", dates=days, closes=closes)
         assert prices.to_csv() == _csv_text(("Date", "Close"), zip(days, closes))
 
     def test_empty_series_is_the_header_line(self):
-        assert _dated_csv_text(("date", "return"), [], np.empty(0)) == "date,return\n"
+        assert _dated_csv_text(("date", "return"), np.empty(0, "datetime64[D]"), np.empty(0)) == "date,return\n"
         assert PriceSeries("A", dates=[], closes=[]).to_csv() == "Date,Close\n"
 
 

@@ -87,7 +87,7 @@ MUTANTS = [
     Mutant("market_data.py", "    closes[np.isinf(closes)] = np.nan  # before the sign check", "    pass  #"),
     Mutant("market_data.py", "start = quoted.argmax(axis=0).max()", "start = quoted.argmax(axis=0).min()"),
     Mutant("market_data.py", 'np.datetime64(period.end, "D"), "right")', 'np.datetime64(period.end, "D"))'),
-    Mutant("market_data.py", "or (widths[date_col::n_fields] != 10).any()", "or False"),
+    Mutant("market_data.py", "map(_iso_day,", "map(date.fromisoformat,"),
     # backtest
     Mutant("backtest.py", 'winner = "TIE" if tied else best', "winner = best"),
     Mutant("backtest.py", "metrics = sharpe_ratio(daily, risk_free)", "metrics = sharpe_ratio(daily)"),
@@ -118,17 +118,16 @@ MUTANTS = [
     Mutant("synthetic.py", "or args.seed < 0:", ":"),
     Mutant("synthetic.py", "return tuple(days[np.is_busday(days)].tolist())", "return tuple(days.tolist())"),
     # the calendar caches, listed last so that every earlier mutant keeps its number: a date column
-    # keyed on its first cell, ISO text keyed on its length (in to_csv and in cli), a writable cached array
+    # keyed on its first cell, ISO text keyed on its length, a writable cached array; then a returns
+    # file written from the wrong column
     Mutant("market_data.py", '_parse_days(",".join(cells[date_col::n_fields]))',
            '_parse_days(type("FirstCellKey", (str,), {"__hash__": lambda k: hash(k[:10]), '
            '"__eq__": lambda k, other: k[:10] == other[:10]})(",".join(cells[date_col::n_fields])))'),
-    Mutant("market_data.py", "_iso_texts(self.dates.tobytes())",
+    Mutant("market_data.py", "_iso_texts(dates.tobytes())",
            '_iso_texts(type("LengthKey", (bytes,), {"__hash__": lambda k: len(k), '
-           '"__eq__": lambda k, other: len(k) == len(other)})(self.dates.tobytes()))'),
+           '"__eq__": lambda k, other: len(k) == len(other)})(dates.tobytes()))'),
     Mutant("market_data.py", "    days.flags.writeable = False\n    return days\n", "    return days\n"),
-    Mutant("cli.py", "_iso_texts(series.dates.tobytes())",
-           '_iso_texts(type("LengthKey", (bytes,), {"__hash__": lambda k: len(k), '
-           '"__eq__": lambda k, other: len(k) == len(other)})(series.dates.tobytes()))'),
+    Mutant("cli.py", '("date", "return"), series.dates, col)', '("date", "return"), series.dates, series.values.T[0])'),
 ]
 
 

@@ -9,15 +9,17 @@ Subcommands:
 A failing sector never aborts the others; failures are reported as a JSON
 error list on stderr and turn the exit status to 1. Config problems exit 2
 before any computation. Each artifact write is atomic (temp file + rename)
-and byte-deterministic for identical inputs. ``run`` and ``build`` replace
-every artifact of the sectors they process, ``backtest`` all but the build
-files it reads, and all three the summary and error list; a failed sector
-keeps none of the files its command replaces.
+and byte-deterministic for identical inputs under one BLAS thread
+configuration. ``run`` and ``build`` replace every artifact of the sectors
+they process, ``backtest`` all but the build files it reads, and all three
+the summary and error list; a failed sector keeps none of the files its
+command replaces.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import json
@@ -26,7 +28,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import get_args
+from typing import Iterator, get_args
 
 from . import backtest as bt
 from .config import ROOT_ARTIFACTS, SETTINGS, ExperimentConfig, SectorConfig, load_config
@@ -93,22 +95,37 @@ def _write_files(directory: Path, owned: set[str], files: dict[str, str]) -> Non
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of what the experiment computes; where its output goes is left out."""
+    """Hash of what the experiment computes; where its input and output are is left out."""
     resolved = config.as_dict()
     for key in ("applied_defaults", "warnings", "output_dir"):
         resolved.pop(key)
+    resolved["sectors"] = [{k: v for k, v in s.items() if k != "data"} for s in resolved["sectors"]]
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _load_sector_panels(sector: SectorConfig, config: ExperimentConfig) -> tuple[PricePanel, PricePanel]:
+def _read_inputs(sector: SectorConfig, digest: hashlib._Hash) -> Iterator[bytes]:
+    """The bytes of each input file of ``sector`` in config order, read when asked for, after ``digest``
+    takes its base name, length and bytes. A wide file's path is opened as configured, so errors name it."""
+    wide = sector.input_format == "wide"
+    for path in [sector.data] if wide else [Path(sector.data) / f"{ticker}.csv" for ticker in sector.tickers]:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        digest.update(os.fsencode(os.path.basename(path)) + b"\0" + len(raw).to_bytes(8, "little"))
+        digest.update(raw)
+        yield raw
+
+
+def _load_sector_panels(sector: SectorConfig, config: ExperimentConfig) -> tuple[PricePanel, PricePanel, str]:
+    """The train and test panels of ``sector``, and the sha256 of the input they were read from."""
+    digest = hashlib.sha256()
+    inputs = _read_inputs(sector, digest)
     if sector.input_format == "wide":
-        with open(sector.data, "rb") as handle:  # the path as configured, which a missing file's error names
-            prices = parse_wide_csv(handle.read(), sector.tickers or None)
+        prices = parse_wide_csv(next(inputs), sector.tickers or None)
     else:
-        prices = [parse_price_csv((Path(sector.data) / f"{t}.csv").read_bytes(), t) for t in sector.tickers]
+        prices = list(map(parse_price_csv, inputs, sector.tickers))
     panel = align_panel(prices, config.alignment)
-    return slice_period(panel, config.train), slice_period(panel, config.test)
+    return slice_period(panel, config.train), slice_period(panel, config.test), digest.hexdigest()
 
 
 def _build_sector(
@@ -168,7 +185,7 @@ def _run_one_sector(
     report = None
     stage, source = "ingest", sector.data
     try:
-        train_panel, test_panel = _load_sector_panels(sector, config)
+        train_panel, test_panel, input_sha256 = _load_sector_panels(sector, config)
         if weights_dir is None:
             stage = "build"
             weights, files = _build_sector(train_panel, config)
@@ -177,13 +194,9 @@ def _run_one_sector(
             weights = _load_weights(weights_dir / sector.name)
         if evaluate:
             stage, source = "backtest", sector.data
+            metadata = {"config_hash": config_hash(config), "alignment": config.alignment, "input_sha256": input_sha256}
             report = bt.evaluate(
-                weights,
-                train_panel,
-                test_panel,
-                risk_free=config.risk_free_rate,
-                sector=sector.name,
-                extra_metadata={"config_hash": config_hash(config), "alignment": config.alignment},
+                weights, train_panel, test_panel, config.risk_free_rate, sector=sector.name, extra_metadata=metadata
             )
             files[f"report.{fmt}"] = bt.report_to_csv(report) if fmt == "csv" else bt.report_to_json(report)
             for period, series in (report.series or {}).items():
@@ -202,12 +215,16 @@ def _run_one_sector(
         )
 
 
-def _report_in_tree(out_dir: Path, sector: str, current_hash: str) -> bt.BacktestReport | None:
-    """The report an earlier run left for ``sector`` under ``out_dir``, if it was computed under ``current_hash``."""
+def _report_in_tree(out_dir: Path, sector: SectorConfig, current_hash: str) -> bt.BacktestReport | None:
+    """The report an earlier run left for ``sector`` under ``out_dir``, if it was computed under
+    ``current_hash`` from the bytes the sector's input files hold now."""
     try:
-        report = bt.report_from_json((out_dir / sector / "report.json").read_text(encoding="utf-8"))
-        return report if report.sector == sector and report.metadata.get("config_hash") == current_hash else None
-    except (OSError, ValueError):  # missing, or not a report
+        report = bt.report_from_json((out_dir / sector.name / "report.json").read_text(encoding="utf-8"))
+        digest = hashlib.sha256()
+        collections.deque(_read_inputs(sector, digest), maxlen=0)  # hashed, not parsed
+        stamp = {"config_hash": current_hash, "input_sha256": digest.hexdigest()}
+        return report if report.sector == sector.name and stamp.items() <= report.metadata.items() else None
+    except (OSError, ValueError):  # missing or not a report, or an input file is missing
         return None
 
 
@@ -231,7 +248,8 @@ def run_experiment(
     config order; a failing sector is recorded and the others still run.
     The summary covers, in config order, the sectors this run evaluated and,
     for JSON, every sector it did not run whose ``report.json`` is a report
-    of that sector under the current config hash.
+    of that sector under the current config hash and of the bytes its input
+    files hold now.
     Returns the exit status and per-sector results, plus one for sector ""
     when the root files cannot be written.
     """
@@ -249,7 +267,7 @@ def run_experiment(
     files = {}
     ran, current = {r.sector: r.report for r in results}, config_hash(config)
     reports = [  # CSV reports carry no config_hash to match
-        ran[s.name] if s.name in ran else _report_in_tree(out_dir, s.name, current) if fmt == "json" else None
+        ran[s.name] if s.name in ran else _report_in_tree(out_dir, s, current) if fmt == "json" else None
         for s in config.sectors
     ]
     reports = [report for report in reports if report is not None]

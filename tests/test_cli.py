@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -202,7 +203,9 @@ class TestSettingsTable:
         assert caught.value.problems[0].startswith(f"{key}: ")
 
     def test_config_hash_pinned(self):
-        assert config_hash(validate_config(MINIMAL)) == "8c1cb06d2f141dc1"
+        # the data path is left out: a report's input_sha256 covers the input's bytes
+        moved = dict(MINIMAL, sectors=[{**MINIMAL["sectors"][0], "data": "elsewhere"}])
+        assert config_hash(validate_config(MINIMAL)) == config_hash(validate_config(moved)) == "3dfbc8fa6631d203"
 
     def test_readme_example_is_complete_and_valid(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -335,6 +338,45 @@ class TestRunExperiment:
         assert list(json.loads(summary.read_text())["winners"]) == ["sector2"]
         assert (tmp_path / "out" / "sector1" / "report.json").exists()
 
+    def test_filtered_run_leaves_out_a_report_of_other_data(self, tmp_path):
+        # sector2's files are rewritten at the same paths after a full run, so its report is of other
+        # data: a run of sector1 alone leaves it out, and a fresh run finds another train winner
+        config = str(write_fixture(tmp_path, n_sectors=2, tickers_per_sector=4))
+        data, summary = tmp_path / "data" / "sector2", tmp_path / "out" / "summary.json"
+        assert main(["run", "--config", config]) == EXIT_OK
+        assert json.loads(summary.read_text())["winners"]["sector2"]["train"] == "HRP"
+        tickers = sorted(path.stem for path in data.glob("*.csv"))
+        panel = PricePanel(*synthetic_panel(tickers, weekday_range(date(2016, 1, 1), date(2021, 11, 1)), seed=99))
+        for ticker in tickers:
+            (data / f"{ticker}.csv").write_text(panel.series(ticker).to_csv())
+        assert main(["run", "--config", config, "--sector", "sector1"]) == EXIT_OK
+        assert list(json.loads(summary.read_text())["winners"]) == ["sector1"]
+        assert main(["run", "--config", config]) == EXIT_OK
+        assert json.loads(summary.read_text())["winners"]["sector2"]["train"] == "EIGEN"
+        (data / f"{tickers[0]}.csv").unlink()  # a missing input file leaves its sector's report out too
+        assert main(["run", "--config", config, "--sector", "sector1"]) == EXIT_OK
+        assert list(json.loads(summary.read_text())["winners"]) == ["sector1"]
+
+    def test_filtered_run_keeps_the_reports_of_moved_data(self, tmp_path):
+        # the report's input_sha256 covers each file's base name, length and bytes, not where it is
+        config = write_fixture(tmp_path, n_sectors=2, tickers_per_sector=4)
+        summary = tmp_path / "out" / "summary.json"
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        full = summary.read_bytes()
+        raw = json.loads(config.read_text())
+        digest = hashlib.sha256()
+        for ticker in raw["sectors"][1]["tickers"]:
+            data = (tmp_path / "data" / "sector2" / f"{ticker}.csv").read_bytes()
+            digest.update(f"{ticker}.csv".encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+        report = json.loads((tmp_path / "out" / "sector2" / "report.json").read_text())
+        assert report["metadata"]["input_sha256"] == digest.hexdigest()
+        (tmp_path / "data").rename(tmp_path / "moved")
+        for sector in raw["sectors"]:
+            sector["data"] = str(tmp_path / "moved" / sector["name"])
+        config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config), "--sector", "sector1"]) == EXIT_OK
+        assert summary.read_bytes() == full
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -388,7 +430,7 @@ class TestRunExperiment:
     def test_one_eigendecomposition_per_sector(self, fixture_config, monkeypatch):
         # the sample covariance is PSD by construction: no eigvalsh check, and fit_pca's one eigh
         config = load_config(fixture_config)
-        train_panel, _ = portlab.cli._load_sector_panels(config.sectors[0], config)
+        train_panel = portlab.cli._load_sector_panels(config.sectors[0], config)[0]
         calls = {"eigh": 0, "eigvalsh": 0}
         for name, original in [(name, getattr(np.linalg, name)) for name in calls]:
 
@@ -551,7 +593,8 @@ class TestMainEntry:
         assert len(reports) == 2
         for path in reports:
             assert set(json.loads(path.read_text(encoding="utf-8"))["metadata"]) == {
-                "alignment", "config_hash", "covariance", "periods", "risk_free_rate", "trading_days_per_year"
+                "alignment", "config_hash", "covariance", "input_sha256", "periods", "risk_free_rate",
+                "trading_days_per_year",
             }
 
     def test_comma_in_names_is_quoted(self, tmp_path):

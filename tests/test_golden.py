@@ -55,16 +55,8 @@ def _write_wide_fixture() -> str:
 
 
 def golden_trees() -> dict[str, dict[str, str]]:
-    """Build every pinned tree under the current directory: tree -> file -> sha256.
-
-    Data paths are relative, since ``config_hash`` covers them.
-    """
-    default = write_fixture(".")
-    config = json.loads(default.read_text(encoding="utf-8"))
-    for sector in config["sectors"]:
-        sector["data"] = f"data/{sector['name']}"
-    default.write_text(json.dumps(config), encoding="utf-8")
-    default, wide = str(default), _write_wide_fixture()
+    """Build every pinned tree under the current directory: tree -> file -> sha256."""
+    default, wide = str(write_fixture(".")), _write_wide_fixture()
     commands = {
         "run": [["run", "--config", default]],
         "run-csv": [["run", "--config", default, "--format", "csv"]],

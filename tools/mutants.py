@@ -102,7 +102,7 @@ MUTANTS = [
     Mutant("cli.py", 'for key in ("applied_defaults", "warnings", "output_dir"):',
            'for key in ("applied_defaults", "warnings"):'),
     Mutant("cli.py", 'if weights_dir is None else set())', "if True else set())"),
-    Mutant("cli.py", "return report if report.sector == sector and report", "return report if report"),
+    Mutant("cli.py", "return report if report.sector == sector.name and ", "return report if "),
     Mutant("cli.py", '    fmt = "csv" if fmt == "csv" else "json"', "    pass"),
     Mutant("cli.py", "if train_returns.n_obs < len(train_returns.tickers) + 1:",
            "if train_returns.n_obs < len(train_returns.tickers):"),
@@ -118,8 +118,8 @@ MUTANTS = [
     Mutant("synthetic.py", "or args.seed < 0:", ":"),
     Mutant("synthetic.py", "return tuple(days[np.is_busday(days)].tolist())", "return tuple(days.tolist())"),
     # the calendar caches, listed last so that every earlier mutant keeps its number: a date column
-    # keyed on its first cell, ISO text keyed on its length, a writable cached array; then a returns
-    # file written from the wrong column
+    # keyed on its first cell, ISO text keyed on its length, a writable cached array; then a filtered
+    # run's report of other input bytes accepted
     Mutant("market_data.py", '_parse_days(",".join(cells[date_col::n_fields]))',
            '_parse_days(type("FirstCellKey", (str,), {"__hash__": lambda k: hash(k[:10]), '
            '"__eq__": lambda k, other: k[:10] == other[:10]})(",".join(cells[date_col::n_fields])))'),
@@ -127,7 +127,9 @@ MUTANTS = [
            '_iso_texts(type("LengthKey", (bytes,), {"__hash__": lambda k: len(k), '
            '"__eq__": lambda k, other: len(k) == len(other)})(dates.tobytes()))'),
     Mutant("market_data.py", "    days.flags.writeable = False\n    return days\n", "    return days\n"),
-    Mutant("cli.py", '("date", "return"), series.dates, col)', '("date", "return"), series.dates, series.values.T[0])'),
+    Mutant("cli.py", ', "input_sha256": digest.hexdigest()}', "}"),
+    # the input digest: a file's bytes left out, so an edit that keeps each length goes unseen
+    Mutant("cli.py", "        digest.update(raw)\n", ""),
 ]
 
 

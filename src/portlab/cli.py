@@ -95,7 +95,7 @@ def _write_files(directory: Path, owned: set[str], files: dict[str, str]) -> Non
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of what the experiment computes; where its input and output are is left out."""
+    """Hash of what the experiment computes; the locations of its input and output are left out."""
     resolved = config.as_dict()
     for key in ("applied_defaults", "warnings", "output_dir"):
         resolved.pop(key)
@@ -220,10 +220,11 @@ def _report_in_tree(out_dir: Path, sector: SectorConfig, current_hash: str) -> b
     ``current_hash`` from the bytes the sector's input files hold now."""
     try:
         report = bt.report_from_json((out_dir / sector.name / "report.json").read_text(encoding="utf-8"))
+        if report.sector != sector.name or report.metadata.get("config_hash") != current_hash:
+            return None
         digest = hashlib.sha256()
         collections.deque(_read_inputs(sector, digest), maxlen=0)  # hashed, not parsed
-        stamp = {"config_hash": current_hash, "input_sha256": digest.hexdigest()}
-        return report if report.sector == sector.name and stamp.items() <= report.metadata.items() else None
+        return report if report.metadata.get("input_sha256") == digest.hexdigest() else None
     except (OSError, ValueError):  # missing or not a report, or an input file is missing
         return None
 
@@ -248,8 +249,7 @@ def run_experiment(
     config order; a failing sector is recorded and the others still run.
     The summary covers, in config order, the sectors this run evaluated and,
     for JSON, every sector it did not run whose ``report.json`` is a report
-    of that sector under the current config hash and of the bytes its input
-    files hold now.
+    of that sector under the current config hash and input bytes.
     Returns the exit status and per-sector results, plus one for sector ""
     when the root files cannot be written.
     """

@@ -102,7 +102,7 @@ MUTANTS = [
     Mutant("cli.py", 'for key in ("applied_defaults", "warnings", "output_dir"):',
            'for key in ("applied_defaults", "warnings"):'),
     Mutant("cli.py", 'if weights_dir is None else set())', "if True else set())"),
-    Mutant("cli.py", "return report if report.sector == sector.name and ", "return report if "),
+    Mutant("cli.py", "if report.sector != sector.name or report", "if report"),
     Mutant("cli.py", '    fmt = "csv" if fmt == "csv" else "json"', "    pass"),
     Mutant("cli.py", "if train_returns.n_obs < len(train_returns.tickers) + 1:",
            "if train_returns.n_obs < len(train_returns.tickers):"),
@@ -127,7 +127,7 @@ MUTANTS = [
            '_iso_texts(type("LengthKey", (bytes,), {"__hash__": lambda k: len(k), '
            '"__eq__": lambda k, other: len(k) == len(other)})(dates.tobytes()))'),
     Mutant("market_data.py", "    days.flags.writeable = False\n    return days\n", "    return days\n"),
-    Mutant("cli.py", ', "input_sha256": digest.hexdigest()}', "}"),
+    Mutant("cli.py", 'report if report.metadata.get("input_sha256") == digest.hexdigest() else None', "report"),
     # the input digest: a file's bytes left out, so an edit that keeps each length goes unseen
     Mutant("cli.py", "        digest.update(raw)\n", ""),
 ]

@@ -8,6 +8,7 @@ table: per method, annualized volatility and Sharpe ratio for both periods.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, get_args
 
@@ -119,28 +120,17 @@ def evaluate(
 
 
 def summarize(reports: list[BacktestReport]) -> ComparisonSummary:
-    """Pick each sector's per-period winner by strictly higher Sharpe ratio."""
+    """A period's winner is the one method with the highest Sharpe ratio, "TIE" when several share it."""
     if not reports:
         raise ValueError("summarize needs at least one report")
     winners: dict[str, dict[str, str]] = {}
-    counts: dict[str, dict[str, int]] = {period: {} for period in PERIODS}
     for report in reports:
         winners[report.sector] = {}
         for period in PERIODS:
-            ranked = sorted(
-                report.methods,
-                key=lambda method: report.cell(method, period).sharpe_ratio,
-                reverse=True,
-            )
-            best = ranked[0]
-            tied = (
-                len(ranked) > 1
-                and report.cell(ranked[1], period).sharpe_ratio
-                == report.cell(best, period).sharpe_ratio
-            )
-            winner = "TIE" if tied else best
-            winners[report.sector][period] = winner
-            counts[period][winner] = counts[period].get(winner, 0) + 1
+            sharpe = {method: report.cell(method, period).sharpe_ratio for method in report.methods}
+            leaders = [method for method, value in sharpe.items() if value == max(sharpe.values())]
+            winners[report.sector][period] = leaders[0] if len(leaders) == 1 else "TIE"
+    counts = {period: dict(Counter(won[period] for won in winners.values())) for period in PERIODS}
     return ComparisonSummary(winners=winners, counts=counts)
 
 

@@ -90,7 +90,7 @@ def _write_files(directory: Path, owned: set[str], files: dict[str, str]) -> Non
         except BaseException:
             temp.unlink(missing_ok=True)
             raise
-    for name in owned - files.keys():
+    for name in sorted(owned - files.keys()):  # one order, so a failed write leaves one state
         (directory / name).unlink(missing_ok=True)
 
 
@@ -199,7 +199,7 @@ def _run_one_sector(
                 weights, train_panel, test_panel, config.risk_free_rate, sector=sector.name, extra_metadata=metadata
             )
             files[f"report.{fmt}"] = bt.report_to_csv(report) if fmt == "csv" else bt.report_to_json(report)
-            for period, series in (report.series or {}).items():
+            for period, series in report.series.items():
                 for method, col in zip(series.tickers, series.values.T):
                     text = _dated_csv_text(("date", "return"), series.dates, col)
                     files[f"returns_{method.lower()}_{period}.csv"] = text
@@ -207,8 +207,9 @@ def _run_one_sector(
         _write_files(sector_dir, owned, files)
         return SectorResult(sector=sector.name, report=report)
     except (PortlabError, OSError, ValueError) as cause:
-        with contextlib.suppress(OSError):  # the failure may be that sector_dir is not a directory
-            _write_files(sector_dir, owned, {})
+        for name in owned:  # each name on its own: sector_dir may not be a directory, or a name one
+            with contextlib.suppress(OSError):
+                (sector_dir / name).unlink(missing_ok=True)
         return SectorResult(
             sector=sector.name,
             failure=SectorFailure(sector=sector.name, stage=stage, file=source, cause=str(cause)),

@@ -35,10 +35,9 @@ class ZeroVarianceAsset(PortlabError):
     """An asset's return variance is at or below the numerical floor, or an HRP
     cluster's inverse-variance portfolio is riskless beside the other half."""
 
-    def __init__(self, tickers: str | list[str], message: str | None = None) -> None:
-        names = [tickers] if isinstance(tickers, str) else list(tickers)
-        self.tickers = names
-        super().__init__(message or f"zero-variance asset(s): {', '.join(names)}")
+    def __init__(self, tickers: list[str], message: str | None = None) -> None:
+        self.tickers = list(tickers)
+        super().__init__(message or f"zero-variance asset(s): {', '.join(self.tickers)}")
 
 
 class ZeroVolatility(PortlabError):

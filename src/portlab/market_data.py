@@ -57,18 +57,13 @@ def _frozen(instance: object, name: str, dtype: type | str = float) -> np.ndarra
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """``header`` and ``rows`` as CSV text, one line feed after each row. A field
     holding a comma, a double quote or a line feed is quoted, and so is every
-    field of a row holding a carriage return, which csv.writer would leave bare
-    and csv.reader then rejects; floats keep their shortest repr."""
-    rows = [header, *rows]
+    field of a row whose text cell holds a carriage return, which csv.writer
+    would leave bare and csv.reader then rejects; floats keep their shortest repr."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    if "\r" in buffer.getvalue():
-        buffer.seek(0)
-        buffer.truncate()
-        quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        for row in rows:
-            (quote_all if any("\r" in str(cell) for cell in row) else writer).writerow(row)
+    minimal = csv.writer(buffer, lineterminator="\n")
+    quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in [header, *rows]:  # cells are text, ints and floats: only text can hold a carriage return
+        (quote_all if any(isinstance(cell, str) and "\r" in cell for cell in row) else minimal).writerow(row)
     return buffer.getvalue()
 
 
@@ -194,10 +189,6 @@ class PricePanel(PriceTable):
         if missing.any():
             row, col = np.argwhere(missing)[0]
             raise NonPositivePrice(f"{self.tickers[col]}: no close on {self.dates[row]}")
-
-    def series(self, ticker: str) -> PriceSeries:
-        """The column of ``ticker``: every date of the panel."""
-        return self[self.tickers.index(ticker)]
 
 
 @dataclass(frozen=True)

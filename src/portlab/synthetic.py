@@ -95,8 +95,8 @@ def write_fixture(
         panel = PricePanel(*synthetic_panel(tickers, dates, seed=seed + s))
         sector_dir = root / "data" / name
         sector_dir.mkdir(parents=True, exist_ok=True)
-        for ticker in tickers:
-            (sector_dir / f"{ticker}.csv").write_text(panel.series(ticker).to_csv(), encoding="utf-8")
+        for series in panel:
+            (sector_dir / f"{series.ticker}.csv").write_text(series.to_csv(), encoding="utf-8")
         sectors.append({"name": name, "data": str(sector_dir), "tickers": tickers})
 
     config = {

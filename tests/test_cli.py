@@ -5,6 +5,9 @@ import json
 import logging
 import math
 import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 import portlab.cli
 from conftest import output_tree
+from portlab import backtest as bt
 from portlab import market_data
 from portlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, config_hash, main, run_experiment
 from portlab.config import SETTINGS, load_config, validate_config
@@ -218,6 +222,23 @@ class TestSettingsTable:
             assert len(documented) == 1 and f"`{json.dumps(setting.default)}`" in documented[0]
 
 
+def test_readme_library_example_prints_a_report(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    days = weekday_range(date(2016, 1, 1), date(2021, 11, 1))
+    auto = tmp_path / "data" / "auto"
+    auto.mkdir(parents=True)
+    for series in PricePanel(*synthetic_panel(["A1", "A2", "A3", "A4"], days, seed=1)):
+        (auto / f"{series.ticker}.csv").write_text(series.to_csv())
+    wide = synthetic_panel(["W1", "W2", "W3"], days, seed=2)
+    rows = ([day, *closes] for day, closes in zip(wide.dates, wide.closes.tolist()))
+    (tmp_path / "data" / "it_wide.csv").write_text(market_data._csv_text(("Date", *wide.tickers), rows))
+    monkeypatch.chdir(tmp_path)
+    exec(example, {})  # the block imports all it uses
+    report = bt.report_from_json(capsys.readouterr().out)
+    assert report.sector == "auto" and set(report.methods) == {"EIGEN", "HRP"}
+
+
 @pytest.fixture
 def fixture_config(tmp_path):
     return write_fixture(tmp_path, n_sectors=2, tickers_per_sector=6, seed=11)
@@ -347,8 +368,8 @@ class TestRunExperiment:
         assert json.loads(summary.read_text())["winners"]["sector2"]["train"] == "HRP"
         tickers = sorted(path.stem for path in data.glob("*.csv"))
         panel = PricePanel(*synthetic_panel(tickers, weekday_range(date(2016, 1, 1), date(2021, 11, 1)), seed=99))
-        for ticker in tickers:
-            (data / f"{ticker}.csv").write_text(panel.series(ticker).to_csv())
+        for series in panel:
+            (data / f"{series.ticker}.csv").write_text(series.to_csv())
         assert main(["run", "--config", config, "--sector", "sector1"]) == EXIT_OK
         assert list(json.loads(summary.read_text())["winners"]) == ["sector1"]
         assert main(["run", "--config", config]) == EXIT_OK
@@ -600,8 +621,8 @@ class TestMainEntry:
     def test_comma_in_names_is_quoted(self, tmp_path):
         tickers = ["A,1", "B", "C", "D"]
         panel = PricePanel(*synthetic_panel(tickers, weekday_range(date(2019, 1, 1), date(2021, 11, 1)), seed=3))
-        for ticker in tickers:
-            (tmp_path / f"{ticker}.csv").write_text(panel.series(ticker).to_csv())
+        for series in panel:
+            (tmp_path / f"{series.ticker}.csv").write_text(series.to_csv())
         raw = copy.deepcopy(MINIMAL)
         raw["sectors"] = [{"name": "auto,parts", "data": str(tmp_path), "tickers": tickers}]
         config = tmp_path / "config.json"
@@ -619,8 +640,8 @@ class TestMainEntry:
     def test_carriage_return_in_ticker_round_trips(self, tmp_path):
         tickers = ["A\r1", "B", "C"]
         panel = PricePanel(*synthetic_panel(tickers, weekday_range(date(2019, 1, 1), date(2021, 11, 1)), seed=3))
-        for ticker in tickers:
-            (tmp_path / f"{ticker}.csv").write_text(panel.series(ticker).to_csv())
+        for series in panel:
+            (tmp_path / f"{series.ticker}.csv").write_text(series.to_csv())
         raw = copy.deepcopy(MINIMAL)
         raw["sectors"] = [{"name": "auto", "data": str(tmp_path), "tickers": tickers}]
         config = tmp_path / "config.json"
@@ -878,6 +899,35 @@ class TestOutputTree:
             "weights_hrp.csv",
         ]
         assert (out / "sector2" / "report.json").exists()
+
+    def test_backtest_skips_blank_weight_rows(self, run, tmp_path):
+        out = tmp_path / "out"
+        assert run("run") == EXIT_OK
+        report = (out / "sector1" / "report.json").read_bytes()
+        weights = out / "sector1" / "weights_hrp.csv"
+        header, first, *rest = weights.read_text().splitlines(keepends=True)
+        weights.write_text("".join([header, first, "\n", " , \n", *rest]))
+        assert run("backtest", "--weights", str(out), "--out", str(out)) == EXIT_OK
+        assert (out / "sector1" / "report.json").read_bytes() == report
+
+    def test_failed_sector_leaves_one_state_under_every_hash_seed(self, tmp_path):
+        # a sector owns a set of names, whose order follows PYTHONHASHSEED: the cleanup after a failed
+        # write must reach every name whatever the order, so each seed runs in a process of its own
+        config = str(write_fixture(tmp_path, n_sectors=1, tickers_per_sector=4))
+        assert main(["run", "--config", config]) == EXIT_OK
+        env = dict(os.environ, PYTHONPATH=str(Path(portlab.cli.__file__).parents[1]))
+        for seed in ("1", "2", "3", "4", "5"):
+            out = tmp_path / f"out{seed}"
+            shutil.copytree(tmp_path / "out", out)
+            (out / "sector1" / "report.json").unlink()
+            (out / "sector1" / "report.json").mkdir()
+            command = [sys.executable, "-m", "portlab.cli", "run", "--config", config, "--out", str(out)]
+            done = subprocess.run(
+                command, env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == EXIT_PARTIAL, done.stderr
+            assert [e["stage"] for e in json.loads((out / "errors.json").read_text())] == ["write"]
+            assert artifact_names(out / "sector1") == ["report.json"]  # no other file, and no .report.json.tmp
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_artifact_modes_follow_umask(self, run, tmp_path, umask):

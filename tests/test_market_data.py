@@ -756,9 +756,8 @@ class TestBlockSplit:
         tickers = ["A", "B", "C"]
         days = weekday_range(date(2020, 1, 1), date(2020, 6, 30))
         panel = PricePanel(*synthetic_panel(tickers, days, seed=5))
-        for ticker in tickers:
-            original = panel.series(ticker)
-            parsed = parse_price_csv(original.to_csv(), ticker)
+        for original in panel:
+            parsed = parse_price_csv(original.to_csv(), original.ticker)
             assert np.array_equal(parsed.dates, original.dates)
             assert np.array_equal(parsed.closes, original.closes)
 

@@ -89,7 +89,7 @@ MUTANTS = [
     Mutant("market_data.py", 'np.datetime64(period.end, "D"), "right")', 'np.datetime64(period.end, "D"))'),
     Mutant("market_data.py", "map(_iso_day,", "map(date.fromisoformat,"),
     # backtest
-    Mutant("backtest.py", 'winner = "TIE" if tied else best', "winner = best"),
+    Mutant("backtest.py", 'leaders[0] if len(leaders) == 1 else "TIE"', "leaders[0]"),
     Mutant("backtest.py", "metrics = sharpe_ratio(daily, risk_free)", "metrics = sharpe_ratio(daily)"),
     Mutant("backtest.py", "    if not isinstance(cell, dict):\n", "    if False:\n"),
     Mutant("backtest.py", "except RecursionError:  # nested", "except ZeroDivisionError:  # nested"),
@@ -130,6 +130,16 @@ MUTANTS = [
     Mutant("cli.py", 'report if report.metadata.get("input_sha256") == digest.hexdigest() else None', "report"),
     # the input digest: a file's bytes left out, so an edit that keeps each length goes unseen
     Mutant("cli.py", "        digest.update(raw)\n", ""),
+    # the CSV writer's per-row choice, and a failed sector's cleanup, which unlinks each name on its own
+    Mutant("market_data.py", '(quote_all if any(isinstance(cell, str) and "\\r" in cell for cell in row) else minimal)',
+           "minimal"),
+    Mutant("cli.py",
+           "        for name in owned:  # each name on its own: sector_dir may not be a directory, or a name one\n"
+           "            with contextlib.suppress(OSError):\n"
+           "                (sector_dir / name).unlink(missing_ok=True)\n",
+           "        with contextlib.suppress(OSError):\n"
+           "            for name in owned:\n"
+           "                (sector_dir / name).unlink(missing_ok=True)\n"),
 ]
 
 

@@ -140,7 +140,7 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
     d += d.T
     np.fill_diagonal(d, np.inf)
     ids = np.arange(n)
-    sizes = np.ones(n, dtype=np.int64)
+    sizes = np.ones(n)  # floats: exact below 2**53
     above = np.where(np.tri(n, dtype=bool), np.inf, d)
     nn = above.argmin(axis=1)
     mind = above[ids, nn]
@@ -151,28 +151,26 @@ def ward_linkage(dist: DistanceMatrix, method: LinkageMethod = "ward") -> Linkag
     for step in range(n - 1):
         i = int(np.where(mind == mind.min(), ids, id_bound).argmin())
         j = int(nn[i])
-        height = d[i, j]
-        merged_size = int(sizes[i] + sizes[j])
-        rows[step] = ids[i], ids[j], height, merged_size
+        height, ni, nj = d[i, j], sizes[i], sizes[j]
+        rows[step] = ids[i], ids[j], height, ni + nj
 
         # every slot at once: retired slots hold inf and come out inf
         d_ik, d_jk = d[i], d[j]
-        if method == "ward":
-            ni, nj, nk = sizes[i], sizes[j], sizes
-            numerator = (ni + nk) * d_ik**2 + (nj + nk) * d_jk**2 - nk * height**2  # >= 0: i, j is the closest pair
-            updated = np.sqrt(numerator / (ni + nj + nk))
+        if method == "ward":  # numerator >= 0: i, j is the closest pair; a scalar's ** calls pow, not always exact
+            numerator = (ni + sizes) * d_ik**2 + (nj + sizes) * d_jk**2 - sizes * (height * height)
+            updated = np.sqrt(numerator / (ni + nj + sizes))
         elif method == "single":
             updated = np.minimum(d_ik, d_jk)
         elif method == "complete":
             updated = np.maximum(d_ik, d_jk)
         else:
-            updated = (sizes[i] * d_ik + sizes[j] * d_jk) / (sizes[i] + sizes[j])
+            updated = (ni * d_ik + nj * d_jk) / (ni + nj)
         updated[[i, j]] = np.inf
         slot, retired = min(i, j), max(i, j)
         d[retired] = d[:, retired] = np.inf
         d[slot] = d[:, slot] = updated
         ids[slot], ids[retired] = n + step, -1
-        sizes[slot] = merged_size
+        sizes[slot] = ni + nj
         mind[[i, j]], nn[[i, j]] = np.inf, -1  # no active id is above the merged one
 
         # taken before repointing, which points slots at `slot`, itself i or j
@@ -200,29 +198,16 @@ def quasi_diagonalize(tree: LinkageTree) -> SeriationOrder:
     return SeriationOrder(order=orders[-1])
 
 
-def _inverse_variance(variances: np.ndarray, tickers: Sequence[str]) -> np.ndarray:
-    """Weights proportional to 1/variance; ``tickers`` names each variance."""
-    if (variances <= VARIANCE_FLOOR).any():
-        raise ZeroVarianceAsset([t for t, v in zip(tickers, variances) if v <= VARIANCE_FLOOR])
-    inverse = 1.0 / variances
-    return inverse / inverse.sum()
-
-
-def _block_variance(block: np.ndarray, tickers: Sequence[str]) -> float:
-    """w' V w for the inverse-variance weights w over a square covariance block."""
-    w = _inverse_variance(block.diagonal(), tickers)
-    return float(w @ block @ w)
-
-
 def recursive_bisection(cov: CovarianceMatrix, order: SeriationOrder) -> PortfolioWeights:
     """Top-down inverse-variance capital split along the seriation order.
 
     Starting from the full seriated list with unit mass, every slice of
     length >= 2 is cut at its midpoint; the left half's weights scale by
     alpha = 1 - V_left / (V_left + V_right) and the right half's by
-    1 - alpha. When both half variances underflow the numerical floor the
-    split falls back to alpha = 0.5 and logs a warning naming the split's
-    span of seriation positions.
+    1 - alpha. A half's V is w'Cw, clamped at 0, for its covariance block C
+    and its inverse-variance weights w. When both half variances underflow
+    the numerical floor the split falls back to alpha = 0.5 and logs a
+    warning naming the split's span of seriation positions.
 
     The covariance is permuted once into seriation order, so every slice is
     a contiguous span of that block; the weights are scattered back to the
@@ -237,6 +222,11 @@ def recursive_bisection(cov: CovarianceMatrix, order: SeriationOrder) -> Portfol
     positions = list(order.order)
     seriated = cov.values[np.ix_(positions, positions)]
     labels = order.tickers(cov.tickers)
+    variances = seriated.diagonal()
+    dead = [k for k, v in enumerate(variances.tolist()) if v <= VARIANCE_FLOOR]
+    if dead and len(positions) > 1:  # the first split's halves hold every asset: its left half's dead, or else all
+        raise ZeroVarianceAsset([labels[k] for k in dead if k < len(positions) // 2] or [labels[k] for k in dead])
+    inverse = 1.0 / np.maximum(variances, VARIANCE_FLOOR)  # floored: only a lone dead asset's, which no split reads
     weights = np.ones(len(positions))
     spans = [(0, len(positions))]
     while spans:
@@ -244,8 +234,11 @@ def recursive_bisection(cov: CovarianceMatrix, order: SeriationOrder) -> Portfol
         if stop - start < 2:
             continue
         mid = start + (stop - start) // 2
-        v_left = max(_block_variance(seriated[start:mid, start:mid], labels[start:mid]), 0.0)
-        v_right = max(_block_variance(seriated[mid:stop, mid:stop], labels[mid:stop]), 0.0)
+        halves = []
+        for a, b in ((start, mid), (mid, stop)):
+            w = inverse[a:b] / inverse[a:b].sum()
+            halves.append(max(float(w @ seriated[a:b, a:b] @ w), 0.0))
+        v_left, v_right = halves
         total = v_left + v_right
         if total <= VARIANCE_FLOOR:
             alpha = 0.5

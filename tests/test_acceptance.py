@@ -125,8 +125,8 @@ def test_linkage_oracle():
         assert np.array_equal(
             mine[:, ids_and_sizes], reference[:, ids_and_sizes]
         ), f"merge sequence diverged on trial {trial}"
-        assert (np.abs(mine[:, 2] - reference[:, 2]) < 1e-10).all()
-    print("\nlinkage oracle: 20/20 merge sequences and heights match brute force")
+        assert mine[:, 2].tobytes() == reference[:, 2].tobytes(), f"heights differ in their bits on trial {trial}"
+    print("\nlinkage oracle: 20/20 merge sequences and heights match brute force bit for bit")
 
 
 def test_pca_oracle():

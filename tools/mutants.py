@@ -60,11 +60,8 @@ MUTANTS = [
     Mutant("hrp.py", "int(np.where(mind == mind.min(), ids, id_bound).argmin())", "int(mind.argmin())"),
     Mutant("hrp.py", "closer = updated < mind", "closer = updated <= mind"),
     Mutant("hrp.py", "orders.append(orders[left] + orders[right])", "orders.append(orders[right] + orders[left])"),
-    Mutant("hrp.py",
-           "v_left = max(_block_variance(seriated[start:mid, start:mid], labels[start:mid]), 0.0)\n"
-           "        v_right = max(_block_variance(seriated[mid:stop, mid:stop], labels[mid:stop]), 0.0)",
-           "v_left = _block_variance(seriated[start:mid, start:mid], labels[start:mid])\n"
-           "        v_right = _block_variance(seriated[mid:stop, mid:stop], labels[mid:stop])"),
+    Mutant("hrp.py", "halves.append(max(float(w @ seriated[a:b, a:b] @ w), 0.0))",
+           "halves.append(float(w @ seriated[a:b, a:b] @ w))"),
     Mutant("hrp.py", "if alpha in (0.0, 1.0):", "if alpha in (0.0,):"),
     Mutant("hrp.py", "alpha = 1.0 - v_left / total", "alpha = v_left / total"),
     # eigen
@@ -140,6 +137,11 @@ MUTANTS = [
            "        with contextlib.suppress(OSError):\n"
            "            for name in owned:\n"
            "                (sector_dir / name).unlink(missing_ok=True)\n"),
+    # bisection's one dead-asset check naming the right half first, and the Ward update squaring its
+    # merge height with pow, which is not always correctly rounded
+    Mutant("hrp.py", "[labels[k] for k in dead if k < len(positions) // 2]",
+           "[labels[k] for k in dead if k >= len(positions) // 2]"),
+    Mutant("hrp.py", "sizes * (height * height)", "sizes * height**2"),
 ]
 
 

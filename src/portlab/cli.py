@@ -19,7 +19,6 @@ command replaces.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import hashlib
 import json
@@ -28,7 +27,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterator, get_args
+from typing import get_args
 
 from . import backtest as bt
 from .config import ROOT_ARTIFACTS, SETTINGS, ExperimentConfig, SectorConfig, load_config
@@ -52,7 +51,6 @@ METHODS: tuple[Method, ...] = get_args(Method)  # HRP first: the order weights a
 
 @dataclass
 class SectorFailure:
-    sector: str
     stage: str
     file: str
     cause: str
@@ -104,28 +102,29 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _read_inputs(sector: SectorConfig, digest: hashlib._Hash) -> Iterator[bytes]:
-    """The bytes of each input file of ``sector`` in config order, read when asked for, after ``digest``
-    takes its base name, length and bytes. A wide file's path is opened as configured, so errors name it."""
+def _read_inputs(sector: SectorConfig) -> tuple[list[bytes], str]:
+    """The bytes of each input file of ``sector`` in config order, and the hex sha256 of each file's base name,
+    length and bytes. A wide file's path is opened as configured, so errors name it."""
     wide = sector.input_format == "wide"
+    raws, digest = [], hashlib.sha256()
     for path in [sector.data] if wide else [Path(sector.data) / f"{ticker}.csv" for ticker in sector.tickers]:
         with open(path, "rb") as handle:
             raw = handle.read()
         digest.update(os.fsencode(os.path.basename(path)) + b"\0" + len(raw).to_bytes(8, "little"))
         digest.update(raw)
-        yield raw
+        raws.append(raw)
+    return raws, digest.hexdigest()
 
 
 def _load_sector_panels(sector: SectorConfig, config: ExperimentConfig) -> tuple[PricePanel, PricePanel, str]:
     """The train and test panels of ``sector``, and the sha256 of the input they were read from."""
-    digest = hashlib.sha256()
-    inputs = _read_inputs(sector, digest)
+    raws, input_sha256 = _read_inputs(sector)
     if sector.input_format == "wide":
-        prices = parse_wide_csv(next(inputs), sector.tickers or None)
+        prices = parse_wide_csv(raws[0], sector.tickers or None)
     else:
-        prices = list(map(parse_price_csv, inputs, sector.tickers))
+        prices = list(map(parse_price_csv, raws, sector.tickers))
     panel = align_panel(prices, config.alignment)
-    return slice_period(panel, config.train), slice_period(panel, config.test), digest.hexdigest()
+    return slice_period(panel, config.train), slice_period(panel, config.test), input_sha256
 
 
 def _build_sector(
@@ -170,16 +169,15 @@ def _load_weights(sector_dir: Path) -> dict[str, PortfolioWeights]:
 def _run_one_sector(
     sector: SectorConfig,
     config: ExperimentConfig,
-    out_dir: Path,
     fmt: str,
     evaluate: bool,
     weights_dir: Path | None,
 ) -> SectorResult:
-    """ingest -> build weights (or load them from weights_dir) -> backtest -> write.
+    """ingest -> build weights (or load them from weights_dir) -> backtest -> write to <output_dir>/<sector>.
 
     Every file is computed before the first is written; a failed sector keeps none it owns.
     """
-    sector_dir = out_dir / sector.name
+    sector_dir = Path(config.output_dir) / sector.name
     owned = ARTIFACTS["report"] | (ARTIFACTS["build"] if weights_dir is None else set())
     files: dict[str, str] = {}  # build files, then report files
     report = None
@@ -210,10 +208,7 @@ def _run_one_sector(
         for name in owned:  # each name on its own: sector_dir may not be a directory, or a name one
             with contextlib.suppress(OSError):
                 (sector_dir / name).unlink(missing_ok=True)
-        return SectorResult(
-            sector=sector.name,
-            failure=SectorFailure(sector=sector.name, stage=stage, file=source, cause=str(cause)),
-        )
+        return SectorResult(sector=sector.name, failure=SectorFailure(stage=stage, file=source, cause=str(cause)))
 
 
 def _report_in_tree(out_dir: Path, sector: SectorConfig, current_hash: str) -> bt.BacktestReport | None:
@@ -223,16 +218,14 @@ def _report_in_tree(out_dir: Path, sector: SectorConfig, current_hash: str) -> b
         report = bt.report_from_json((out_dir / sector.name / "report.json").read_text(encoding="utf-8"))
         if report.sector != sector.name or report.metadata.get("config_hash") != current_hash:
             return None
-        digest = hashlib.sha256()
-        collections.deque(_read_inputs(sector, digest), maxlen=0)  # hashed, not parsed
-        return report if report.metadata.get("input_sha256") == digest.hexdigest() else None
+        return report if report.metadata.get("input_sha256") == _read_inputs(sector)[1] else None
     except (OSError, ValueError):  # missing or not a report, or an input file is missing
         return None
 
 
 def _failures_json(results: list[SectorResult]) -> str:
     """The failed sectors as the JSON list ``errors.json`` and stderr show, or "" when none failed."""
-    failures = [asdict(r.failure) for r in results if r.failure is not None]
+    failures = [{"sector": r.sector, **asdict(r.failure)} for r in results if r.failure is not None]
     return json.dumps(failures, indent=2, sort_keys=True) + "\n" if failures else ""
 
 
@@ -261,9 +254,7 @@ def run_experiment(
             raise ConfigError([f"--sector {sector_filter!r} matches no configured sector"])
     out_dir = Path(config.output_dir)
     fmt = "csv" if fmt == "csv" else "json"  # names the report files; any value but csv writes JSON
-    results = [
-        _run_one_sector(sector, config, out_dir, fmt, evaluate, weights_dir) for sector in sectors
-    ]
+    results = [_run_one_sector(sector, config, fmt, evaluate, weights_dir) for sector in sectors]
 
     files = {}
     ran, current = {r.sector: r.report for r in results}, config_hash(config)
@@ -280,7 +271,7 @@ def run_experiment(
     try:
         _write_files(out_dir, ARTIFACTS["root"], files)
     except OSError as cause:  # e.g. the output directory is a regular file
-        results.append(SectorResult("", failure=SectorFailure("", "write", str(out_dir), str(cause))))
+        results.append(SectorResult("", failure=SectorFailure("write", str(out_dir), str(cause))))
     return (EXIT_PARTIAL if any(r.failure for r in results) else EXIT_OK), results
 
 

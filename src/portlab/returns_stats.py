@@ -147,7 +147,7 @@ def sharpe_ratio(daily_portfolio_returns: np.ndarray, risk_free: float = 0.0) ->
     """Annualized return, volatility, and Sharpe ratio of a daily series.
 
     annual return = mean * 250, annual volatility = sample std * sqrt(250),
-    Sharpe = (annual return - risk_free) / annual volatility.
+    Sharpe = (annual return - risk_free) / annual volatility, which must be finite (ValueError otherwise).
     """
     series = np.asarray(daily_portfolio_returns, dtype=float).ravel()
     if series.size < 2:
@@ -157,9 +157,11 @@ def sharpe_ratio(daily_portfolio_returns: np.ndarray, risk_free: float = 0.0) ->
         raise ZeroVolatility("constant return series has zero volatility")
     annual_vol = annualize_volatility(daily_vol)
     annual_ret = float(series.mean()) * TRADING_DAYS_PER_YEAR
+    if not math.isfinite(sharpe := (annual_ret - risk_free) / annual_vol):
+        raise ValueError(f"Sharpe ratio not finite: annual return {annual_ret!r}, risk-free rate {risk_free!r}")
     return RiskMetrics(
         daily_volatility=daily_vol,
         annual_volatility=annual_vol,
         annual_return=annual_ret,
-        sharpe_ratio=(annual_ret - risk_free) / annual_vol,
+        sharpe_ratio=sharpe,
     )

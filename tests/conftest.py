@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -58,6 +59,15 @@ def pytest_terminal_summary(terminalreporter):
 def output_tree(root) -> dict[str, bytes]:
     """Every file under ``root``: its relative path mapped to its bytes."""
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def strict_json(text):
+    """``json.loads`` with ``NaN``, ``Infinity`` and ``-Infinity`` rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def make_panel(closes, tickers=None, start=date(2020, 1, 1)) -> PricePanel:

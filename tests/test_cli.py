@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import portlab.cli
-from conftest import output_tree
+from conftest import output_tree, strict_json
 from portlab import backtest as bt
 from portlab import market_data
 from portlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, config_hash, main, run_experiment
@@ -398,6 +398,36 @@ class TestRunExperiment:
         assert main(["run", "--config", str(config), "--sector", "sector1"]) == EXIT_OK
         assert summary.read_bytes() == full
 
+    def test_filtered_run_reads_no_input_of_a_report_under_another_config(self, fixture_config, monkeypatch):
+        # a report's input digest is checked only once its sector name and config hash match
+        config = load_config(fixture_config)
+        assert run_experiment(config)[0] == EXIT_OK
+        read, original = [], portlab.cli._read_inputs
+
+        def recording(sector):
+            read.append(sector.name)
+            return original(sector)
+
+        monkeypatch.setattr(portlab.cli, "_read_inputs", recording)
+        assert run_experiment(config, sector_filter="sector2")[0] == EXIT_OK
+        assert read == ["sector2", "sector1"]
+        read.clear()
+        assert run_experiment(replace(config, risk_free_rate=0.05), sector_filter="sector2")[0] == EXIT_OK
+        assert read == ["sector2"]
+
+    def test_every_input_is_read_before_any_is_parsed(self, fixture_config, tmp_path):
+        # a malformed first file and a missing third: the sector fails at ingest naming the missing one
+        config = load_config(fixture_config)
+        data, tickers = tmp_path / "data" / "sector1", config.sectors[0].tickers
+        (data / f"{tickers[0]}.csv").write_text("garbage\n")
+        (data / f"{tickers[2]}.csv").unlink()
+        status, results = run_experiment(config)
+        assert status == EXIT_PARTIAL
+        failure = results[0].failure
+        assert (results[0].sector, failure.stage, failure.file) == ("sector1", "ingest", str(data))
+        assert failure.cause.startswith("[Errno 2]") and failure.cause.endswith(f"{tickers[2]}.csv'")
+        assert results[1].report is not None
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -572,6 +602,28 @@ class TestMainEntry:
         assert "S2C: line" in errors[0]["cause"] and "field limit" in errors[0]["cause"]
         assert (out / "sector1" / "report.json").exists()
         assert (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command, stage", [("run", "build"), ("backtest", "backtest")])
+    def test_overflowing_sharpe_fails_the_sector(self, tmp_path, command, stage):
+        # a finite risk_free_rate of 1e308 sends every Sharpe ratio past float range; backtest reads
+        # weights built at rate 0
+        config = write_fixture(tmp_path, n_sectors=1, tickers_per_sector=3)
+        out = tmp_path / "out"
+        common = ["--config", str(config), "--out", str(out)]
+        if command == "backtest":
+            assert main(["build", *common]) == EXIT_OK
+            common += ["--weights", str(out)]
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["risk_free_rate"] = 1e308
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, *common]) == EXIT_PARTIAL
+        errors = strict_json((out / "errors.json").read_text(encoding="utf-8"))
+        assert [(e["sector"], e["stage"]) for e in errors] == [("sector1", stage)]
+        assert "risk-free rate 1e+308" in errors[0]["cause"]
+        assert not (out / "sector1" / "report.json").exists()
+        for path in out.rglob("*.json"):
+            strict_json(path.read_text(encoding="utf-8"))
+        assert (out / "sector1" / "weights_hrp.csv").exists() == (command == "backtest")
 
     def test_build_then_backtest(self, fixture_config, tmp_path, capsys):
         assert main(["build", "--config", str(fixture_config)]) == EXIT_OK

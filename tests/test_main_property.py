@@ -6,7 +6,7 @@ nesting), the price files (truncation, NUL, BOM, a lone carriage return,
 swapped rows, an overflowing or underflowing close) and the output path (fresh,
 an existing file, or below one). Whatever it gets, ``main`` returns 0, 1 or 2:
 on 1 or 2 stderr ends in the error JSON, and on 0 every file the command owns
-is there.
+is there and every JSON file in the tree parses with NaN and Infinity rejected.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from portlab.cli import ARTIFACTS, EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from portlab.config import load_config
 from portlab.synthetic import write_fixture
@@ -170,6 +171,8 @@ def test_main_exits_0_1_or_2_and_explains_itself(fixture_root, config_edits, csv
         if status == EXIT_OK:
             written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
             assert owned_files(config_path, command, fmt) <= written
+            for path in out.rglob("*.json"):  # NaN and Infinity are not JSON
+                strict_json(path.read_text(encoding="utf-8"))
             return
         lines = stderr.getvalue().splitlines(keepends=True)
         start = next(i for i, line in enumerate(lines) if line.startswith(("{", "[")))

@@ -193,6 +193,12 @@ class TestSharpeRatio:
             base.sharpe_ratio - 0.05 / base.annual_volatility, rel=1e-12
         )
 
+    @pytest.mark.parametrize("risk_free", [1e308, -1e308])
+    def test_overflowing_sharpe_raises(self, risk_free):
+        # both rates are finite, but the excess return over a volatility below 1 is not
+        with pytest.raises(ValueError, match=r"annual return .*risk-free rate -?1e\+308"):
+            sharpe_ratio(np.array([0.01, -0.01, 0.02, -0.02]), risk_free=risk_free)
+
     def test_annual_vol_consistent_with_daily(self, rng):
         metrics = sharpe_ratio(rng.normal(0, 0.02, size=50))
         assert metrics.annual_volatility == pytest.approx(

@@ -124,7 +124,7 @@ MUTANTS = [
            '_iso_texts(type("LengthKey", (bytes,), {"__hash__": lambda k: len(k), '
            '"__eq__": lambda k, other: len(k) == len(other)})(dates.tobytes()))'),
     Mutant("market_data.py", "    days.flags.writeable = False\n    return days\n", "    return days\n"),
-    Mutant("cli.py", 'report if report.metadata.get("input_sha256") == digest.hexdigest() else None', "report"),
+    Mutant("cli.py", 'report if report.metadata.get("input_sha256") == _read_inputs(sector)[1] else None', "report"),
     # the input digest: a file's bytes left out, so an edit that keeps each length goes unseen
     Mutant("cli.py", "        digest.update(raw)\n", ""),
     # the CSV writer's per-row choice, and a failed sector's cleanup, which unlinks each name on its own
@@ -142,6 +142,13 @@ MUTANTS = [
     Mutant("hrp.py", "[labels[k] for k in dead if k < len(positions) // 2]",
            "[labels[k] for k in dead if k >= len(positions) // 2]"),
     Mutant("hrp.py", "sizes * (height * height)", "sizes * height**2"),
+    # the Sharpe guard deleted: a ratio past float range goes on as an infinity, which report.json
+    # writes as -Infinity
+    Mutant("returns_stats.py",
+           "    if not math.isfinite(sharpe := (annual_ret - risk_free) / annual_vol):\n"
+           '        raise ValueError(f"Sharpe ratio not finite: annual return {annual_ret!r}, '
+           'risk-free rate {risk_free!r}")\n',
+           "    sharpe = (annual_ret - risk_free) / annual_vol\n"),
 ]
 
 

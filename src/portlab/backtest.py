@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, get_args
 
 import numpy as np
@@ -30,24 +30,24 @@ PERIODS: tuple[PeriodLabel, ...] = get_args(PeriodLabel)
 
 @dataclass(frozen=True)
 class PeriodPerformance:
-    """One table cell pair: annualized volatility and Sharpe ratio."""
+    """One table cell pair: annualized volatility and Sharpe ratio, each a finite int or float (not a bool)."""
 
     annual_volatility: float
     sharpe_ratio: float
 
+    def __post_init__(self) -> None:
+        values = self.annual_volatility, self.sharpe_ratio
+        if not all(map(_finite, values)):
+            raise ValueError(f"report cells {values!r} are not all finite numbers")
+
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Per-sector evaluation: {method -> {period -> cells}} plus metadata.
-
-    ``series`` holds the daily return paths behind the cells, per period one ReturnsMatrix
-    column per method; deserialized reports carry None, as the JSON stores only the cells.
-    """
+    """Per-sector evaluation, exactly what ``report.json`` holds: sector, {method -> {period -> cells}}, metadata."""
 
     sector: str
     methods: dict[str, dict[str, PeriodPerformance]]
-    metadata: dict[str, Any] = field(default_factory=dict)
-    series: dict[str, ReturnsMatrix] | None = None
+    metadata: dict[str, Any]
 
     def cell(self, method: str, period: str) -> PeriodPerformance:
         return self.methods[method][period]
@@ -79,12 +79,12 @@ def evaluate(
     risk_free: float = 0.0,
     sector: str = "",
     extra_metadata: Mapping[str, Any] | None = None,
-) -> BacktestReport:
-    """Backtest every method's weights on both periods and fill the report.
+) -> tuple[BacktestReport, dict[str, ReturnsMatrix]]:
+    """Backtest every method's weights on both periods: the report, and per period the daily
+    return paths behind its cells, a ReturnsMatrix with one column per method, sorted.
 
-    The metadata holds the return conventions and each period's first and last
-    day, plus ``extra_metadata``. Weights carry no metadata of their own, so
-    weights read back from CSV give the same report as freshly built ones.
+    The metadata holds the return conventions, each period's first and last day and ``extra_metadata``.
+    Weights carry no metadata of their own, so weights read back from CSV give the same report as built ones.
     """
     if not weights_by_method:
         raise ValueError("weights_by_method is empty: evaluate needs at least one method's weights")
@@ -93,15 +93,14 @@ def evaluate(
 
     methods: dict[str, dict[str, PeriodPerformance]] = {}
     columns: dict[str, list[np.ndarray]] = {label: [] for label in PERIODS}
-    for method in sorted(weights_by_method):
-        weights = weights_by_method[method]
+    for method, weights in sorted(weights_by_method.items()):
         methods[method] = {}
         for label in PERIODS:
             daily = portfolio_daily_returns(weights, period_returns[label])
             metrics = sharpe_ratio(daily, risk_free)
             methods[method][label] = PeriodPerformance(metrics.annual_volatility, metrics.sharpe_ratio)
             columns[label].append(daily)
-    series = {
+    paths = {
         label: ReturnsMatrix(tuple(methods), period_returns[label].dates, np.column_stack(columns[label]))
         for label in PERIODS
     }
@@ -114,9 +113,9 @@ def evaluate(
             label: {"start": str(panel.dates[0]), "end": str(panel.dates[-1])}
             for label, panel in panels.items()
         },
+        **(extra_metadata or {}),
     }
-    metadata.update(dict(extra_metadata or {}))
-    return BacktestReport(sector=sector, methods=methods, metadata=metadata, series=series)
+    return BacktestReport(sector=sector, methods=methods, metadata=metadata), paths
 
 
 def summarize(reports: list[BacktestReport]) -> ComparisonSummary:
@@ -146,13 +145,10 @@ def report_to_json(report: BacktestReport) -> str:
 
 
 def _cell(cell: Any) -> PeriodPerformance:
-    """One period's cells read back; each must be a finite JSON number (an int or a float, not a bool)."""
+    """One period's cells read back; PeriodPerformance checks the numbers."""
     if not isinstance(cell, dict):
         raise ValueError(f"report period {cell!r} is not an object")
-    values = cell.get("annual_volatility"), cell.get("sharpe_ratio")
-    if not all(map(_finite, values)):
-        raise ValueError(f"report cells {values!r} are not all finite numbers")
-    return PeriodPerformance(*values)
+    return PeriodPerformance(cell.get("annual_volatility"), cell.get("sharpe_ratio"))
 
 
 def report_from_json(text: str) -> BacktestReport:

@@ -193,13 +193,13 @@ def _run_one_sector(
         if evaluate:
             stage, source = "backtest", sector.data
             metadata = {"config_hash": config_hash(config), "alignment": config.alignment, "input_sha256": input_sha256}
-            report = bt.evaluate(
+            report, paths = bt.evaluate(
                 weights, train_panel, test_panel, config.risk_free_rate, sector=sector.name, extra_metadata=metadata
             )
             files[f"report.{fmt}"] = bt.report_to_csv(report) if fmt == "csv" else bt.report_to_json(report)
-            for period, series in report.series.items():
-                for method, col in zip(series.tickers, series.values.T):
-                    text = _dated_csv_text(("date", "return"), series.dates, col)
+            for period, returns in paths.items():
+                for method, col in zip(returns.tickers, returns.values.T):
+                    text = _dated_csv_text(("date", "return"), returns.dates, col)
                     files[f"returns_{method.lower()}_{period}.csv"] = text
         stage, source = "write", str(sector_dir)
         _write_files(sector_dir, owned, files)

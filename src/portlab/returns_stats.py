@@ -147,12 +147,15 @@ def sharpe_ratio(daily_portfolio_returns: np.ndarray, risk_free: float = 0.0) ->
     """Annualized return, volatility, and Sharpe ratio of a daily series.
 
     annual return = mean * 250, annual volatility = sample std * sqrt(250),
-    Sharpe = (annual return - risk_free) / annual volatility, which must be finite (ValueError otherwise).
+    Sharpe = (annual return - risk_free) / annual volatility. A non-finite volatility or Sharpe is a ValueError.
     """
     series = np.asarray(daily_portfolio_returns, dtype=float).ravel()
     if series.size < 2:
         raise InsufficientObservations(f"{series.size} observation(s), need >= 2 for Sharpe")
-    daily_vol = float(series.std(ddof=1))
+    with np.errstate(over="ignore"):  # a variance past float range is named below
+        daily_vol = float(series.std(ddof=1))
+    if not math.isfinite(daily_vol):
+        raise ValueError(f"daily volatility not finite: {daily_vol!r}")
     if daily_vol <= 0.0:
         raise ZeroVolatility("constant return series has zero volatility")
     annual_vol = annualize_volatility(daily_vol)

@@ -141,6 +141,11 @@ def published_report(sector):
     return BacktestReport(sector=sector, methods=methods, metadata={"risk_free_rate": 0.0})
 
 
+def cell_reprs(report):
+    """Each cell's repr by method and period; repr tells floats apart by their bits, and an int from a float."""
+    return {(method, period): repr(cell) for method, cells in report.methods.items() for period, cell in cells.items()}
+
+
 def two_block_returns(seed, n_per_block=5, n_obs=500, rho=0.9, scale=0.01):
     """Column-shuffled returns with two equicorrelated blocks.
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PUBLISHED_TABLES, make_panel, panel_from_returns, published_report
+from conftest import PUBLISHED_TABLES, cell_reprs, make_panel, panel_from_returns, published_report
 from portlab.backtest import (
+    PeriodPerformance,
     evaluate,
     format_report_table,
     portfolio_daily_returns,
@@ -119,7 +120,7 @@ class TestEvaluate:
     def test_single_asset_weight_reproduces_asset_volatility(self, rng):
         train, test = split_panels(rng)
         weights = weights_of([1.0, 0.0, 0.0, 0.0], train.tickers, method="EIGEN")
-        report = evaluate({"EIGEN": weights}, train, test, sector="demo")
+        report, _ = evaluate({"EIGEN": weights}, train, test, sector="demo")
         asset_metrics = sharpe_ratio(daily_returns(train).values[:, 0])
         assert report.cell("EIGEN", "train").annual_volatility == pytest.approx(
             asset_metrics.annual_volatility, rel=1e-12
@@ -129,7 +130,7 @@ class TestEvaluate:
         train, test = split_panels(rng)
         w = weights_of([0.25] * 4, train.tickers)
         w2 = weights_of([0.25] * 4, train.tickers, method="EIGEN")
-        report = evaluate({"HRP": w, "EIGEN": w2}, train, test)
+        report, _ = evaluate({"HRP": w, "EIGEN": w2}, train, test)
         assert report.cell("HRP", "train") == report.cell("EIGEN", "train")
         assert report.cell("HRP", "test") == report.cell("EIGEN", "test")
 
@@ -144,11 +145,11 @@ class TestEvaluate:
             "HRP": weights_of([0.25] * 4, train.tickers),
             "EIGEN": weights_of([0.7, -0.2, 0.3, 0.2], train.tickers, method="EIGEN"),
         }
-        report = evaluate(weights, train, test, risk_free=0.01)
-        assert set(report.series) == {"train", "test"}
+        report, paths = evaluate(weights, train, test, risk_free=0.01)
+        assert set(paths) == {"train", "test"}
         for label, panel in (("train", train), ("test", test)):
             returns = daily_returns(panel)
-            series = report.series[label]
+            series = paths[label]
             assert isinstance(series, ReturnsMatrix)
             assert series.tickers == ("EIGEN", "HRP")
             assert np.array_equal(series.dates, returns.dates)
@@ -163,7 +164,7 @@ class TestEvaluate:
     def test_volatility_consistent_with_quadratic_form(self, rng):
         train, test = split_panels(rng)
         w = np.array([0.4, 0.1, 0.3, 0.2])
-        report = evaluate({"HRP": weights_of(w, train.tickers)}, train, test)
+        report, _ = evaluate({"HRP": weights_of(w, train.tickers)}, train, test)
         for label, panel in (("train", train), ("test", test)):
             cov = sample_covariance(daily_returns(panel)).values
             matrix_vol = math.sqrt(float(w @ cov @ w)) * math.sqrt(250)
@@ -173,7 +174,7 @@ class TestEvaluate:
 
     def test_metadata_records_conventions(self, rng):
         train, test = split_panels(rng)
-        report = evaluate(
+        report, _ = evaluate(
             {"HRP": weights_of([0.25] * 4, train.tickers)},
             train,
             test,
@@ -185,6 +186,20 @@ class TestEvaluate:
         assert report.metadata["trading_days_per_year"] == 250
         assert report.metadata["config_hash"] == "abc123"
         assert report.metadata["periods"]["train"]["start"] == train.dates[0].item().isoformat()
+
+
+class TestPeriodPerformance:
+    def test_finite_cells_kept_as_given(self):
+        cell = PeriodPerformance(annual_volatility=0.2, sharpe_ratio=-1)
+        assert (cell.annual_volatility, cell.sharpe_ratio) == (0.2, -1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1.0", None])
+    @pytest.mark.parametrize("field", ["annual_volatility", "sharpe_ratio"])
+    def test_rejects_what_is_no_finite_number(self, field, bad):
+        # report_to_json writes any cell it is given, so the cell is checked where it is made
+        cells = {"annual_volatility": 0.2, "sharpe_ratio": 0.5, field: bad}
+        with pytest.raises(ValueError, match="not all finite numbers"):
+            PeriodPerformance(**cells)
 
 
 class TestSummarize:
@@ -201,7 +216,7 @@ class TestSummarize:
         train, test = split_panels(rng)
         strong = weights_of([0.7, 0.1, 0.1, 0.1], train.tickers)
         weak = weights_of([0.1, 0.1, 0.1, 0.7], train.tickers, method="EIGEN")
-        report = evaluate({"HRP": strong, "EIGEN": weak}, train, test, sector="solo")
+        report, _ = evaluate({"HRP": strong, "EIGEN": weak}, train, test, sector="solo")
         summary = summarize([report])
         hrp_better_train = (
             report.cell("HRP", "train").sharpe_ratio > report.cell("EIGEN", "train").sharpe_ratio
@@ -213,7 +228,7 @@ class TestSummarize:
         train, test = split_panels(rng)
         w = weights_of([0.25] * 4, train.tickers)
         w2 = weights_of([0.25] * 4, train.tickers, method="EIGEN")
-        report = evaluate({"HRP": w, "EIGEN": w2}, train, test, sector="tied")
+        report, _ = evaluate({"HRP": w, "EIGEN": w2}, train, test, sector="tied")
         summary = summarize([report])
         assert summary.winners["tied"] == {"train": "TIE", "test": "TIE"}
         assert summary.counts["train"]["TIE"] == 1
@@ -242,10 +257,15 @@ class TestSerialization:
 
     def test_full_precision_values_round_trip(self, rng):
         train, test = split_panels(rng)
-        report = evaluate({"HRP": weights_of([0.25] * 4, train.tickers)}, train, test, sector="x")
+        weights = {
+            "HRP": weights_of([0.25] * 4, train.tickers),
+            "EIGEN": weights_of([0.7, -0.2, 0.3, 0.2], train.tickers, method="EIGEN"),
+        }
+        report, _ = evaluate(weights, train, test, sector="x", extra_metadata={"config_hash": "abc"})
         rebuilt = report_from_json(report_to_json(report))
-        assert rebuilt.cell("HRP", "train") == report.cell("HRP", "train")
-        assert rebuilt.cell("HRP", "test") == report.cell("HRP", "test")
+        # the report evaluate returns and the one read back are one shape, equal field by field
+        assert rebuilt == report
+        assert cell_reprs(rebuilt) == cell_reprs(report)
 
     @pytest.mark.parametrize(
         "text, message",

@@ -625,6 +625,23 @@ class TestMainEntry:
             strict_json(path.read_text(encoding="utf-8"))
         assert (out / "sector1" / "weights_hrp.csv").exists() == (command == "backtest")
 
+    def test_overflowing_volatility_fails_the_sector(self, tmp_path):
+        # closes of 1e-100 then 1e+100 make a finite return of 1e200 on the last test day, whose square
+        # is past float range: the test volatility would be inf and the Sharpe ratio 0.0
+        config = write_fixture(tmp_path, n_sectors=1, tickers_per_sector=3)
+        prices = tmp_path / "data" / "sector1" / "S1A.csv"
+        lines = prices.read_text(encoding="utf-8").splitlines()
+        lines[-2:] = [f"{lines[-2].split(',')[0]},1e-100", f"{lines[-1].split(',')[0]},1e+100"]
+        prices.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_PARTIAL
+        errors = strict_json((out / "errors.json").read_text(encoding="utf-8"))
+        assert [(e["sector"], e["stage"]) for e in errors] == [("sector1", "backtest")]
+        assert "daily volatility not finite" in errors[0]["cause"]
+        assert not (out / "sector1" / "report.json").exists()
+        for path in out.rglob("*.json"):
+            strict_json(path.read_text(encoding="utf-8"))
+
     def test_build_then_backtest(self, fixture_config, tmp_path, capsys):
         assert main(["build", "--config", str(fixture_config)]) == EXIT_OK
         out = tmp_path / "out"

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_panel, panel_from_returns
-from portlab.backtest import evaluate, report_to_csv
+from conftest import cell_reprs, make_panel, panel_from_returns
+from portlab.backtest import evaluate, report_from_json, report_to_csv, report_to_json
 from portlab.cli import _build_sector
 from portlab.config import validate_config
 from portlab.eigen import fit_pca, min_components_for_variance, select_best_eigen
@@ -176,7 +176,8 @@ class TestMetamorphic:
             laid_out = PricePanel(panel.tickers, panel.dates, values)
             train_panel, test_panel = slice_period(laid_out, train), slice_period(laid_out, test)
             weights, files = _build_sector(train_panel, CONFIG)
-            report = evaluate(weights, train_panel, test_panel)
+            report, _ = evaluate(weights, train_panel, test_panel)
+            assert cell_reprs(report_from_json(report_to_json(report))) == cell_reprs(report)  # bit for bit
             outcomes[name] = (files["weights_hrp.csv"], files["weights_eigen.csv"], report_to_csv(report))
         assert outcomes["F"] == outcomes["C"]
         assert outcomes["strided"] == outcomes["C"]

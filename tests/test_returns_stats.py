@@ -199,6 +199,11 @@ class TestSharpeRatio:
         with pytest.raises(ValueError, match=r"annual return .*risk-free rate -?1e\+308"):
             sharpe_ratio(np.array([0.01, -0.01, 0.02, -0.02]), risk_free=risk_free)
 
+    def test_overflowing_variance_raises(self):
+        # every return is finite, but their squares are not: the volatility would be inf and Sharpe 0.0
+        with pytest.raises(ValueError, match=r"^daily volatility not finite: inf$"):
+            sharpe_ratio(np.array([1e200, -1e200, 1e200, -1e200]))
+
     def test_annual_vol_consistent_with_daily(self, rng):
         metrics = sharpe_ratio(rng.normal(0, 0.02, size=50))
         assert metrics.annual_volatility == pytest.approx(

@@ -149,6 +149,10 @@ MUTANTS = [
            '        raise ValueError(f"Sharpe ratio not finite: annual return {annual_ret!r}, '
            'risk-free rate {risk_free!r}")\n',
            "    sharpe = (annual_ret - risk_free) / annual_vol\n"),
+    # the volatility guard deleted: an overflowing variance scores volatility inf and Sharpe 0.0; and
+    # a report cell left unchecked where it is made, so report.json can hold one the reader rejects
+    Mutant("returns_stats.py", "if not math.isfinite(daily_vol):", "if False:"),
+    Mutant("backtest.py", "if not all(map(_finite, values)):", "if False:"),
 ]
 
 
